@@ -25,6 +25,7 @@ from .space import (
     diameter,
     exact_net_centers,
     metric,
+    nearest_distance,
     net_centers,
     uniform_grid,
 )
@@ -40,11 +41,6 @@ def _scan_times(n_max: int):
     for n in range(1, n_max + 1):
         yield n
         yield -n
-
-
-def _frac_circle_dist(a: Fraction, b: Fraction) -> Fraction:
-    d = abs(a - b)
-    return min(d, 1 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +414,21 @@ def _eps_dense(cache: FlowCache, x, eps, n_max: int):
     """Check the orbit window of x against a ceil(1/eps)-uniform net.
 
     Returns (dense, worst_center, worst_distance, worst_time) where the worst
-    center is the one farthest from the orbit.
+    center is the first one farthest from the orbit and worst_time the first
+    time in scan order attaining worst_distance.
     """
+    if n_max < 0:
+        raise ValueError("window size must be >= 0")
     space = cache.family.space
     window = cache.window(x, n_max)
-    worst_c, worst_d, worst_t = None, -1.0, 0
+    index = sorted(window)
+    worst_c, worst_d = None, -1.0
     for c in net_centers(space, eps):
-        best_d, best_t = None, 0
-        for n in _scan_times(n_max):
-            d = metric(space, window[n + n_max], c)
-            if best_d is None or d < best_d:
-                best_d, best_t = d, n
-        if best_d > worst_d:
-            worst_c, worst_d, worst_t = c, best_d, best_t
+        d = nearest_distance(space, index, c)
+        if d > worst_d:
+            worst_c, worst_d = c, d
+    worst_t = next(n for n in _scan_times(n_max)
+                   if metric(space, window[n + n_max], worst_c) == worst_d)
     return worst_d <= eps, worst_c, worst_d, worst_t
 
 
@@ -488,25 +486,11 @@ def transitivity_scan(
             p = (c + off) % 1.0 if space is Space.CIRCLE else min(1.0, max(0.0, c + off))
             if metric(space, p, c) < eps and all(q != p for q in pts):
                 pts.append(p)
-        ball[c] = [(p, cache.window(p, n_max)) for p in pts]
+        # every value the sampled ball reaches at some time |k| <= N, sorted
+        ball[c] = sorted(z for p in pts for z in cache.window(p, n_max))
 
-    unmet = None
-    for u in centers:
-        for v in centers:
-            met = False
-            for k in _scan_times(n_max):
-                idx = k + n_max
-                for _, win in ball[u]:
-                    if metric(space, win[idx], v) < eps:
-                        met = True
-                        break
-                if met:
-                    break
-            if not met:
-                unmet = (u, v)
-                break
-        if unmet:
-            break
+    unmet = next(((u, v) for u in centers for v in centers
+                  if nearest_distance(space, ball[u], v) >= eps), None)
     sub_b = unmet is None
 
     details = {
@@ -552,8 +536,9 @@ def r_transitivity_check(
 
 def _hull_meets_all(space, points, centers, eps):
     """First (center, min distance) the hull misses, or None if all are met."""
+    index = sorted(points)
     for c in centers:
-        dmin = min(metric(space, p, c) for p in points)
+        dmin = nearest_distance(space, index, c)
         if dmin >= eps:
             return c, dmin
     return None
@@ -585,22 +570,16 @@ def minimality_certificate(
     }
 
     if family.exact is not None and family.space is Space.CIRCLE:
-        eps_f = eps if isinstance(eps, Fraction) else Fraction(eps)
         centers = exact_net_centers(Space.CIRCLE, eps)
         grid_x = [Fraction(j, grid) for j in range(grid)]
-        last = None
         for k in range(1, order_cap + 1):
             hull = exact_hull_displacements(family.exact, k, depth)
-            last = hull
-            values = [a.value for a in hull.angles]
             miss = None
             for x in grid_x:
-                pts = [(x + v) % 1 for v in values]
-                for c in centers:
-                    if all(_frac_circle_dist(p, c) >= eps_f for p in pts):
-                        miss = (x, c)
-                        break
-                if miss:
+                found = _hull_meets_all(
+                    Space.CIRCLE, [(x + a.value) % 1 for a in hull.angles], centers, eps)
+                if found is not None:
+                    miss = (x, *found)
                     break
             if miss is None:
                 return PropertyReport(
@@ -614,12 +593,8 @@ def minimality_certificate(
                         "budget_exhausted": hull.budget_exhausted,
                     },
                 )
-        if last is not None and last.stabilized and not last.budget_exhausted:
-            x, c = miss
-            dmin = min(
-                float(_frac_circle_dist((x + v) % 1, c))
-                for v in [a.value for a in last.angles]
-            )
+        if hull.stabilized and not hull.budget_exhausted:  # the order_cap hull
+            x, c, dmin = miss
             return PropertyReport(
                 "minimality",
                 Verdict.REFUTED,
@@ -629,7 +604,7 @@ def minimality_certificate(
                         "hull_miss",
                         (float(x), float(c)),
                         (),
-                        (dmin,),
+                        (float(dmin),),
                         note=f"order_k={order_cap}",
                     )
                 ],
@@ -803,8 +778,9 @@ def ap_propagation_check(
 
 
 def _hausdorff(space: Space, a_pts, b_pts) -> float:
-    d_ab = max(min(metric(space, a, b) for b in b_pts) for a in a_pts)
-    d_ba = max(min(metric(space, b, a) for a in a_pts) for b in b_pts)
+    a_index, b_index = sorted(a_pts), sorted(b_pts)
+    d_ab = max(nearest_distance(space, b_index, a) for a in a_pts)
+    d_ba = max(nearest_distance(space, a_index, b) for b in b_pts)
     return max(d_ab, d_ba)
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from . import checkers
 from .corpus import CORPUS_NAMES, corpus
-from .errors import BudgetError, NaadsError, SchemaError, UnknownNameError
+from .errors import BudgetError, NaadsError, SchemaError
 from .exact import RationalAngle, RationalRotationFamily
 from .flow import FlowCache, MapFamily
 from .maps import CircleRotation, PowerMap
@@ -59,6 +59,8 @@ def _parse_value(text):
             return Fraction(s)
         except ValueError:
             pass
+        except ZeroDivisionError:
+            raise SchemaError(f"zero denominator in {s!r}") from None
     try:
         return int(s)
     except ValueError:
@@ -73,35 +75,35 @@ def _parse_value(text):
 
 
 def _pt(v) -> float:
-    return float(Fraction(v)) if isinstance(v, str) else float(v)
+    try:
+        return float(Fraction(v)) if isinstance(v, str) else float(v)
+    except (TypeError, ValueError, ArithmeticError):
+        raise SchemaError(f"expected a number, got {v!r}") from None
 
 
 def _int(v) -> int:
-    n = int(v)
-    if n != Fraction(v):
-        raise SchemaError(f"expected an integer, got {v!r}")
-    return n
-
-
-def _flt(v) -> float:
-    return float(Fraction(v)) if isinstance(v, str) else float(v)
+    try:
+        if int(v) == Fraction(v):
+            return int(v)
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise SchemaError(f"expected an integer, got {v!r}")
 
 
 def _rat(v):
     """Keep exact rationals exact; floats pass through."""
-    if isinstance(v, Fraction):
+    if isinstance(v, float):
         return v
-    if isinstance(v, str):
+    try:
         return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    return float(v)
+    except (TypeError, ValueError, ArithmeticError):
+        raise SchemaError(f"expected a number, got {v!r}") from None
 
 
 def _radii(v):
     if isinstance(v, (list, tuple)):
-        return tuple(_flt(e) for e in v)
-    return (_flt(v),)
+        return tuple(_pt(e) for e in v)
+    return (_pt(v),)
 
 
 def _g(params, key, default=None, required=False):
@@ -116,18 +118,18 @@ def _g(params, key, default=None, required=False):
 TASKS = {
     "periodicity_check": lambda f, p: checkers.periodicity_check(
         f, _pt(_g(p, "x", required=True)), _int(_g(p, "r", required=True)),
-        _int(_g(p, "horizon", 25)), _flt(_g(p, "tol", checkers.FLOW_TOL))),
+        _int(_g(p, "horizon", 25)), _pt(_g(p, "tol", checkers.FLOW_TOL))),
     "return_time_set": lambda f, p: checkers.return_time_set(
-        f, _pt(_g(p, "x", required=True)), _flt(_g(p, "eps", required=True)),
+        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "eps", required=True)),
         _int(_g(p, "N", required=True))),
     "almost_periodicity_report": lambda f, p: checkers.almost_periodicity_report(
-        f, _pt(_g(p, "x", required=True)), _flt(_g(p, "eps", required=True)),
+        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "eps", required=True)),
         _int(_g(p, "N", required=True))),
     "uniform_ap_report": lambda f, p: checkers.uniform_ap_report(
-        f, _flt(_g(p, "eps", required=True)), _int(_g(p, "N", required=True)),
+        f, _pt(_g(p, "eps", required=True)), _int(_g(p, "N", required=True)),
         _int(_g(p, "grid_size", 64))),
     "equicontinuity_modulus": lambda f, p: checkers.equicontinuity_modulus(
-        f, _flt(_g(p, "eps", required=True)), _int(_g(p, "N", 50)),
+        f, _pt(_g(p, "eps", required=True)), _int(_g(p, "N", 50)),
         _int(_g(p, "pair_grid", 17))),
     "proximal_liminf": lambda f, p: checkers.proximal_liminf(
         f, _pt(_g(p, "x", required=True)), _pt(_g(p, "y", required=True)),
@@ -135,21 +137,21 @@ TASKS = {
     "li_yorke_classify": lambda f, p: checkers.li_yorke_classify(
         f, _pt(_g(p, "x", required=True)), _pt(_g(p, "y", required=True)),
         _int(_g(p, "N", required=True)),
-        _flt(_g(p, "low_tol", checkers.LI_YORKE_LOW_TOL)),
-        _flt(_g(p, "high_tol", checkers.LI_YORKE_HIGH_TOL))),
+        _pt(_g(p, "low_tol", checkers.LI_YORKE_LOW_TOL)),
+        _pt(_g(p, "high_tol", checkers.LI_YORKE_HIGH_TOL))),
     "sensitivity_at_point": lambda f, p: checkers.sensitivity_at_point(
         f, _pt(_g(p, "x", required=True)),
-        None if _g(p, "delta") is None else _flt(p["delta"]),
+        None if _g(p, "delta") is None else _pt(p["delta"]),
         _radii(_g(p, "radii", (0.1, 0.01))), _int(_g(p, "samples", 16)),
         _int(_g(p, "N", 100))),
     "orbit_density": lambda f, p: checkers.orbit_density(
-        f, _pt(_g(p, "x", required=True)), _flt(_g(p, "eps", required=True)),
+        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "eps", required=True)),
         _int(_g(p, "N", required=True))),
     "transitivity_scan": lambda f, p: checkers.transitivity_scan(
-        f, _flt(_g(p, "eps", required=True)), _int(_g(p, "N", required=True)),
+        f, _pt(_g(p, "eps", required=True)), _int(_g(p, "N", required=True)),
         _int(_g(p, "grid", 16))),
     "r_transitivity_check": lambda f, p: checkers.r_transitivity_check(
-        f, _int(_g(p, "r", required=True)), _flt(_g(p, "eps", 0.05)),
+        f, _int(_g(p, "r", required=True)), _pt(_g(p, "eps", 0.05)),
         _int(_g(p, "N", 120)), _int(_g(p, "grid", 16))),
     "minimality_certificate": lambda f, p: checkers.minimality_certificate(
         f, _rat(_g(p, "eps", required=True)), _int(_g(p, "order_cap", 6)),
@@ -157,17 +159,17 @@ TASKS = {
     "hull_periodicity_property": lambda f, p: checkers.hull_periodicity_property(
         f, _pt(_g(p, "x", required=True)), _int(_g(p, "r", required=True)),
         _int(_g(p, "order_k", 8)), _int(_g(p, "depth", 6)),
-        _int(_g(p, "horizon", 25)), _flt(_g(p, "tol", checkers.FLOW_TOL))),
+        _int(_g(p, "horizon", 25)), _pt(_g(p, "tol", checkers.FLOW_TOL))),
     "ap_propagation_check": lambda f, p: checkers.ap_propagation_check(
-        f, _pt(_g(p, "x", required=True)), _flt(_g(p, "eps", required=True)),
+        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "eps", required=True)),
         _int(_g(p, "N", 40)), _int(_g(p, "order_k", 4)), _int(_g(p, "depth", 3))),
     "hull_closure_equality": lambda f, p: checkers.hull_closure_equality(
-        f, _pt(_g(p, "x", required=True)), _flt(_g(p, "eps", required=True)),
+        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "eps", required=True)),
         _int(_g(p, "N", 40)), _int(_g(p, "order_k", 4)), _int(_g(p, "depth", 3)),
         None if _g(p, "y") is None else _pt(p["y"])),
     "dichotomy_scan": lambda f, p: checkers.dichotomy_scan(
-        f, _flt(_g(p, "eps", required=True)),
-        None if _g(p, "delta") is None else _flt(p["delta"]),
+        f, _pt(_g(p, "eps", required=True)),
+        None if _g(p, "delta") is None else _pt(p["delta"]),
         _int(_g(p, "grid", 8)), _int(_g(p, "order_k", 3)),
         _int(_g(p, "depth", 2)), _int(_g(p, "N", 50))),
 }
@@ -255,7 +257,7 @@ def _write_outputs(outputs, rendered, family, params):
             rts = checkers.return_time_set(
                 family,
                 _pt(_g(params, "x", required=True)),
-                _flt(_g(params, "eps", required=True)),
+                _pt(_g(params, "eps", required=True)),
                 _int(_g(params, "N", required=True)),
             )
             returns = set(rts.times)
@@ -268,7 +270,7 @@ def _write_outputs(outputs, rendered, family, params):
         # modulus_curve
         rep = checkers.equicontinuity_modulus(
             family,
-            _flt(_g(params, "eps", required=True)),
+            _pt(_g(params, "eps", required=True)),
             _int(_g(params, "N", 50)),
             _int(_g(params, "pair_grid", 17)),
         )
@@ -304,18 +306,20 @@ def run_scenario(path: str, timestamp: bool = True) -> int:
     try:
         with open(path) as fh:
             scenario = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return _run_guarded(scenario, timestamp)
+
+
+def _run_guarded(scenario, timestamp: bool) -> int:
+    """Run a scenario; budget errors exit 2, bad input (any ValueError) 64."""
     try:
         return _run_scenario_dict(scenario, timestamp)
     except BudgetError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (SchemaError, UnknownNameError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NaadsError as exc:
+    except (NaadsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -420,14 +424,7 @@ def main(argv=None) -> int:
     scenario = {"family": args.family, "task": args.task, "params": params}
     if args.expect is not None:
         scenario["expect"] = args.expect
-    try:
-        return _run_scenario_dict(scenario, timestamp=not args.no_timestamp)
-    except BudgetError as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except NaadsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return _run_guarded(scenario, timestamp=not args.no_timestamp)
 
 
 if __name__ == "__main__":

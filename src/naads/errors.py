@@ -26,4 +26,4 @@ class UnknownNameError(NaadsError, LookupError):
 
 
 class SchemaError(NaadsError, ValueError):
-    """A scenario file or CLI parameter record failed validation."""
+    """A scenario file, CLI parameter or NAADS_BUDGET_POINTS failed validation."""

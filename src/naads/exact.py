@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import BudgetError
+from .errors import BudgetError, SchemaError
 
 # Harmonic prefix sums have denominators around lcm(1..k); 1 << 14 bits covers
 # horizons of a few thousand steps before aborting.
@@ -175,10 +175,13 @@ class HullDisplacements:
         return frozenset(self.angles)
 
 
-def _size_budget(max_size: int | None) -> int:
-    cap = max_size if max_size is not None else 65536
+def points_budget(requested: int | None, default: int) -> int:
+    """``requested`` (else ``default``), lowered by NAADS_BUDGET_POINTS if set."""
+    cap = requested if requested is not None else default
     env = os.environ.get("NAADS_BUDGET_POINTS")
     if env:
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise SchemaError(f"NAADS_BUDGET_POINTS={env!r} is not a positive integer")
         cap = min(cap, int(env))
     return cap
 
@@ -197,7 +200,7 @@ def exact_hull_displacements(
     """
     if order_k < 1 or depth < 1:
         raise ValueError("order_k and depth must be >= 1")
-    cap = _size_budget(max_size)
+    cap = points_budget(max_size, 65536)
     generators = {fam.displacement(r) for r in range(-order_k, order_k + 1)}
     current: set[RationalAngle] = {ZERO}
     frontier: set[RationalAngle] = {ZERO}

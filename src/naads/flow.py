@@ -10,14 +10,14 @@ literal descending order.
 
 from __future__ import annotations
 
-import os
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import BudgetError, ConstructionError
-from .exact import RationalRotationFamily
+from .exact import RationalRotationFamily, points_budget
 from .maps import Composite, Homeomorphism
-from .space import Space, metric
+from .space import Space, metric, nearest_distance
 
 DEFAULT_HORIZON = 100_000
 
@@ -90,7 +90,9 @@ class FlowCache:
     Forward trajectories are extended incrementally per base point.  Backward
     trajectories are incremental for commutative families (same operation
     order as omega); otherwise each backward value is computed by omega and
-    memoized.  Confine an instance to one worker, or wrap it yourself.
+    memoized.  Entries are keyed by (type(x), x): Fraction(1, 2) and 0.5 are
+    equal and hash alike but have different trajectories.  Confine an
+    instance to one worker, or wrap it yourself.
     """
 
     def __init__(self, family: MapFamily):
@@ -105,18 +107,19 @@ class FlowCache:
             raise BudgetError(f"time {n} exceeds horizon {fam.horizon}")
         if n == 0:
             return x
+        key = (type(x), x)
         if n > 0:
-            traj = self._fwd.setdefault(x, [x])
+            traj = self._fwd.setdefault(key, [x])
             while len(traj) <= n:
                 traj.append(fam.map_at(len(traj)).forward(traj[-1]))
             return traj[n]
         m = -n
         if fam.declared_commutative:
-            traj = self._bwd.setdefault(x, [x])
+            traj = self._bwd.setdefault(key, [x])
             while len(traj) <= m:
                 traj.append(fam.map_at(len(traj)).inverse(traj[-1]))
             return traj[m]
-        key = (x, n)
+        key += (n,)
         if key not in self._bwd_memo:
             self._bwd_memo[key] = omega(fam, n, x)
         return self._bwd_memo[key]
@@ -179,14 +182,6 @@ class HullSample:
     stabilized: bool = False
 
 
-def _points_budget(max_points: int | None) -> int:
-    cap = max_points if max_points is not None else 4096
-    env = os.environ.get("NAADS_BUDGET_POINTS")
-    if env:
-        cap = min(cap, int(env))
-    return cap
-
-
 def hull_sample(
     family: MapFamily,
     x,
@@ -200,16 +195,20 @@ def hull_sample(
 
     Words are compositions of flow maps at times r in {-order_k, .., order_k}
     (time 0 is the identity and is harmless), at most ``depth`` letters long.
-    Deduplication keeps the first representative within dedup_eps.  Hitting
+    Deduplication keeps the first representative within dedup_eps: each
+    candidate is tested against a sorted copy of the kept points
+    (space.nearest_distance), so a test costs O(log n) comparisons and at most
+    4 metric calls, and keeping a point costs one O(n) list insertion.  Hitting
     ``max_points`` (globally capped by NAADS_BUDGET_POINTS) sets
     budget_exhausted; truncation is reported, never silent.
     """
     if order_k < 1 or depth < 1 or dedup_eps <= 0:
         raise ValueError("order_k, depth must be >= 1 and dedup_eps > 0")
-    cap = _points_budget(max_points)
+    cap = points_budget(max_points, 4096)
     cache = cache or FlowCache(family)
     space = family.space
     points = [x]
+    index = [x]  # the kept points, sorted
     frontier = [x]
     exhausted = False
     stabilized = False
@@ -218,8 +217,9 @@ def hull_sample(
         for y in frontier:
             for r in range(-order_k, order_k + 1):
                 z = cache.omega(r, y)
-                if all(metric(space, z, p) >= dedup_eps for p in points):
+                if nearest_distance(space, index, z) >= dedup_eps:
                     points.append(z)
+                    insort(index, z)
                     new.append(z)
                     if len(points) >= cap:
                         exhausted = True

@@ -8,6 +8,7 @@ they work on floats and on fractions.Fraction alike and return the same kind.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 
@@ -66,6 +67,21 @@ def metric(space: Space, x, y):
     return d
 
 
+def nearest_distance(space: Space, sorted_points, q):
+    """``min(metric(space, q, p) for p in sorted_points)`` from at most 4 candidates.
+
+    ``sorted_points`` is non-empty and ascending.  Rounded subtraction is
+    monotone, so |q - p| is least at the sorted neighbours of q and 1 - |q - p|
+    at the two extremes: the value equals the full scan bit for bit on floats
+    and exactly on fractions.
+    """
+    i = bisect_left(sorted_points, q)
+    near = sorted_points[i - 1:i + 1] if i else sorted_points[:1]
+    if space is Space.CIRCLE:
+        near += (sorted_points[0], sorted_points[-1])
+    return min([metric(space, q, p) for p in near])
+
+
 def diameter(space: Space) -> float:
     return 0.5 if space is Space.CIRCLE else 1.0
 
@@ -81,8 +97,8 @@ def uniform_grid(space: Space, count: int) -> list[float]:
 
 def net_centers(space: Space, eps) -> list[float]:
     """Centers of a ceil(1/eps)-uniform net covering the space."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     m = math.ceil(1 / eps)
     if space is Space.CIRCLE:
         return [i / m for i in range(m)]

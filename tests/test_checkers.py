@@ -199,6 +199,12 @@ class TestDensityTransitivity:
             w.distances, abs=1e-12
         )
 
+    def test_negative_window_rejected(self, fam):
+        with pytest.raises(ValueError):
+            orbit_density(fam["circle_ex4"], 0.0, 0.05, -3)
+        with pytest.raises(ValueError):
+            transitivity_scan(fam["circle_ex4"], 0.05, -3)
+
     def test_transitivity_verdicts(self, fam):
         rep = transitivity_scan(fam["circle_harmonic"], 0.05, 120)
         assert rep.verdict is Verdict.EVIDENCE_FOR

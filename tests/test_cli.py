@@ -229,6 +229,48 @@ class TestCheckAndCorpus:
         assert code == EXIT_OK
 
 
+class TestBadInputExits64:
+    @pytest.mark.parametrize("task, params", [
+        ("orbit_density", ["x=0.1", "eps=0", "N=10"]),
+        ("orbit_density", ["x=abc", "eps=0.1", "N=10"]),
+        ("orbit_density", ["x=0.1", "eps=0.1", "N=-3"]),
+        ("orbit_density", ["x=1/0", "eps=0.1", "N=10"]),
+        ("orbit_density", ["x=0.1,0.2", "eps=0.1", "N=10"]),
+        ("orbit_density", ["x=0.1", "eps=inf", "N=10"]),
+        ("periodicity_check", ["x=0.1", "r=two"]),
+        ("periodicity_check", ["x=0.1", "r=inf"]),
+        ("periodicity_check", ["x=0.1", "r=2.5"]),
+        ("minimality_certificate", ["eps=abc"]),
+        ("minimality_certificate", ["eps=0"]),
+    ])
+    def test_check(self, capsys, task, params):
+        argv = ["--no-timestamp", "check", "circle_harmonic", task]
+        for item in params:
+            argv += ["--param", item]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-3"])
+    def test_bad_budget_env(self, tmp_path, monkeypatch, capsys, env):
+        monkeypatch.setenv("NAADS_BUDGET_POINTS", env)
+        path = _scenario(tmp_path, {
+            "family": "circle_harmonic",
+            "task": "hull_periodicity_property",
+            "params": {"x": 0.1, "r": 2},
+        })
+        assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
+        assert "NAADS_BUDGET_POINTS" in capsys.readouterr().err
+
+    def test_checker_argument_check_in_scenario(self, tmp_path, capsys):
+        path = _scenario(tmp_path, {
+            "family": "circle_ex4",
+            "task": "orbit_density",
+            "params": {"x": 0, "eps": 0, "N": 10},
+        })
+        assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: eps must be positive\n"
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         payload = {

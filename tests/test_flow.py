@@ -11,11 +11,13 @@ from naads import (
     MapFamily,
     PiecewiseLinear,
     PowerMap,
+    SchemaError,
     Space,
     audit_commutativity,
     audit_isometry,
     block_family,
     corpus,
+    exact_hull_displacements,
     hull_sample,
     metric,
     omega,
@@ -90,6 +92,19 @@ class TestFlowCache:
                 assert cache.omega(n, x) == omega(fam, n, x)
                 # repeated lookups are stable
                 assert cache.omega(n, x) == cache.omega(n, x)
+
+    def test_fraction_and_float_keys_kept_apart(self):
+        # Fraction(1, 2) == 0.5 and both hash alike, yet their orbits differ
+        fam = corpus("circle_harmonic").family
+        cache = FlowCache(fam)
+        for n in (3, -3):
+            assert isinstance(cache.omega(n, Fraction(1, 2)), Fraction)
+            got = cache.omega(n, 0.5)
+            assert type(got) is float and got == omega(fam, n, 0.5)
+        fam = corpus("example1_tent_sqrt").family  # backward memo path
+        cache = FlowCache(fam)
+        cache.omega(-2, Fraction(1, 2))
+        assert repr(cache.omega(-2, 0.5)) == repr(omega(fam, -2, 0.5))
 
     def test_window_indexing(self):
         fam = corpus("circle_ex4").family
@@ -178,6 +193,15 @@ class TestHullSample:
         hs = hull_sample(fam, 0.1, order_k=6, depth=6)
         assert hs.budget_exhausted
         assert len(hs.points) <= 4
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-5", "2.5", " "])
+    def test_bad_budget_env_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("NAADS_BUDGET_POINTS", env)
+        fam = corpus("circle_harmonic").family
+        with pytest.raises(SchemaError):
+            hull_sample(fam, 0.1, order_k=2, depth=2)
+        with pytest.raises(SchemaError):
+            exact_hull_displacements(fam.exact, 2, 2)
 
     def test_parameter_validation(self):
         fam = corpus("identity").family

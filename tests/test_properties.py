@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naads import (
     CircleRotation,
     FlowCache,
+    MapFamily,
     PiecewiseLinear,
     PowerMap,
     RationalAngle,
@@ -18,11 +19,14 @@ from naads import (
     hull_sample,
     li_yorke_classify,
     metric,
+    nearest_distance,
+    net_centers,
     omega,
     periodicity_check,
     replay_witness,
     return_time_set,
 )
+from naads.checkers import _eps_dense, _scan_times
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 circle_pt = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
@@ -153,3 +157,144 @@ class TestWitnessReplay:
         (w,) = rep.witnesses
         replayed = replay_witness(fam, w)
         assert all(abs(a - b) < 1e-12 for a, b in zip(replayed, w.distances))
+
+
+# points on both spaces, with the boundary values and near-duplicates drawn often
+edge_float = st.sampled_from([0.0, 0.5, 1.0 - 2 ** -53, 1e-17, 0.1 + 0.2, 0.3])
+float_pt = st.one_of(unit, edge_float)
+frac_pt = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
+
+class TestNearestDistance:
+    @given(
+        space=st.sampled_from(list(Space)),
+        pts=st.lists(float_pt, min_size=1, max_size=12),
+        q=float_pt,
+        dup=st.booleans(),
+    )
+    @example(space=Space.CIRCLE, pts=[0.5, 0.9], q=0.0, dup=False)  # wraps at 1
+    @example(space=Space.CIRCLE, pts=[0.9], q=0.05, dup=False)  # a single point
+    def test_float_index_equals_full_scan(self, space, pts, q, dup):
+        if space is Space.CIRCLE:
+            pts, q = [p for p in pts if p < 1] or [0.0], q % 1.0
+        if dup:
+            pts = pts + pts[:2]
+        got = nearest_distance(space, sorted(pts), q)
+        assert repr(got) == repr(min(metric(space, q, p) for p in pts))
+
+    @given(
+        space=st.sampled_from(list(Space)),
+        pts=st.lists(frac_pt, min_size=1, max_size=12),
+        q=frac_pt,
+    )
+    def test_fraction_index_equals_full_scan(self, space, pts, q):
+        if space is Space.CIRCLE:
+            pts, q = [p % 1 for p in pts], q % 1
+        got = nearest_distance(space, sorted(pts), q)
+        assert got == min(metric(space, q, p) for p in pts)
+        assert isinstance(got, Fraction)
+
+
+def _reference_hull(family, x, order_k, depth, dedup_eps, cap):
+    """hull_sample's rule written as the plain all-points scan."""
+    cache = FlowCache(family)
+    points, frontier = [x], [x]
+    for _ in range(depth):
+        new = []
+        for y in frontier:
+            for r in range(-order_k, order_k + 1):
+                z = cache.omega(r, y)
+                if all(metric(family.space, z, p) >= dedup_eps for p in points):
+                    points.append(z)
+                    new.append(z)
+                    if len(points) >= cap:
+                        return points, True, False
+        if not new:
+            return points, False, True
+        frontier = new
+    return points, False, False
+
+
+class TestHullDedupMatchesScan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        angles=st.lists(
+            st.one_of(
+                st.fractions(min_value=-1, max_value=1, max_denominator=12),
+                st.floats(min_value=-1, max_value=1, allow_nan=False),
+            ),
+            min_size=1, max_size=4,
+        ),
+        x=circle_pt,
+        order_k=st.integers(min_value=1, max_value=4),
+        depth=st.integers(min_value=1, max_value=4),
+        dedup_eps=st.sampled_from([1e-12, 1e-9, 1e-3, 0.05, 0.2]),
+        cap=st.sampled_from([5, 60, 4096]),
+    )
+    def test_rotation_cycles(self, angles, x, order_k, depth, dedup_eps, cap):
+        fam = MapFamily(
+            Space.CIRCLE,
+            lambda n: CircleRotation(angles[(n - 1) % len(angles)]),
+            "cycle",
+            declared_commutative=True,
+        )
+        hs = hull_sample(fam, x, order_k, depth, dedup_eps, max_points=cap)
+        points, exhausted, stabilized = _reference_hull(
+            fam, x, order_k, depth, dedup_eps, cap)
+        assert hs.points == points
+        assert [type(p) for p in hs.points] == [type(p) for p in points]
+        assert (hs.budget_exhausted, hs.stabilized) == (exhausted, stabilized)
+
+
+def _reference_eps_dense(cache, x, eps, n_max):
+    """_eps_dense as the full scan: every center against every time."""
+    space = cache.family.space
+    window = cache.window(x, n_max)
+    worst_c, worst_d, worst_t = None, -1.0, 0
+    for c in net_centers(space, eps):
+        best_d, best_t = None, 0
+        for n in _scan_times(n_max):
+            d = metric(space, window[n + n_max], c)
+            if best_d is None or d < best_d:
+                best_d, best_t = d, n
+        if best_d > worst_d:
+            worst_c, worst_d, worst_t = c, best_d, best_t
+    return worst_d <= eps, worst_c, worst_d, worst_t
+
+
+class TestEpsDenseMatchesScan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from([
+            ("example1_tent_sqrt", 0.0),  # orbit {0, 1}: every time ties
+            ("example1_tent_sqrt", 1.0),
+            ("example1_tent_sqrt", 0.5),
+            ("identity", 0.25),
+            ("circle_ex4", 0.0),
+            ("circle_ex4", 0.125),
+            ("circle_harmonic", 0.3),
+        ]),
+        eps=st.sampled_from([0.01, 0.1, 0.125, 0.25, 0.3, 0.5, 1.0]),
+        n_max=st.integers(min_value=0, max_value=30),
+    )
+    def test_corpus_orbits(self, case, eps, n_max):
+        name, x = case
+        cache = FlowCache(corpus(name).family)
+        got = _eps_dense(cache, x, eps, n_max)
+        assert repr(got) == repr(_reference_eps_dense(cache, x, eps, n_max))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.integers(min_value=1, max_value=9),
+        j=st.integers(min_value=0, max_value=8),
+        eps=st.sampled_from([0.05, 0.1, 0.2, 0.5]),
+        n_max=st.integers(min_value=0, max_value=20),
+    )
+    def test_periodic_rotation_orbits(self, q, j, eps, n_max):
+        # rotation by 1/q from j/q: a q-periodic orbit, so times tie in groups
+        fam = MapFamily(Space.CIRCLE, lambda n: CircleRotation(Fraction(1, q)),
+                        "rot", declared_commutative=True)
+        cache = FlowCache(fam)
+        x = (j % q) / q
+        got = _eps_dense(cache, x, eps, n_max)
+        assert repr(got) == repr(_reference_eps_dense(cache, x, eps, n_max))
