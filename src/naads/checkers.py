@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 from .exact import exact_hull_displacements, exact_periodicity
 from .flow import FlowCache, MapFamily, block_family, hull_sample, omega
 from .report import PropertyReport, ReturnTimeSet, Verdict, Witness
 from .space import (
     Space,
+    check_grid_size,
     diameter,
     exact_net_centers,
     metric,
@@ -62,7 +63,8 @@ def periodicity_check(
     cache = FlowCache(family)
 
     if family.exact is not None:
-        res = exact_periodicity(family.exact, r, horizon)
+        # a witness past the family horizon would abort below all the same
+        res = exact_periodicity(family.exact, r, min(horizon, family.horizon // r))
         if res.certified:
             max_dev = max(
                 metric(family.space, cache.omega(j * r, x), x)
@@ -109,6 +111,8 @@ def periodicity_check(
 
 
 def _return_times(cache: FlowCache, x, eps, n_max: int) -> ReturnTimeSet:
+    if not eps > 0 or n_max < 1:  # also rejects eps = nan
+        raise ValueError("need eps > 0 and window >= 1")
     space = cache.family.space
     times = [
         n
@@ -131,8 +135,6 @@ def _return_times(cache: FlowCache, x, eps, n_max: int) -> ReturnTimeSet:
 
 def return_time_set(family: MapFamily, x, eps, n_max: int) -> ReturnTimeSet:
     """Times |n| <= n_max with d(omega_n(x), x) < eps, plus gap statistics."""
-    if eps <= 0 or n_max < 1:
-        raise ValueError("need eps > 0 and window >= 1")
     return _return_times(FlowCache(family), x, eps, n_max)
 
 
@@ -228,6 +230,8 @@ def equicontinuity_modulus(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if 4 * n_max > family.horizon:  # no window may reach past the family
+        raise BudgetError(f"time {4 * n_max} exceeds horizon {family.horizon}")
     params = {"family": family.name, "eps": eps, "N": n_max, "pair_grid": pair_grid}
     space = family.space
     cache = FlowCache(family)
@@ -278,6 +282,8 @@ class ProximalExtremes:
 
 def proximal_liminf(family: MapFamily, x, y, n_max: int) -> ProximalExtremes:
     """Min/max pair distance with witnessing times over |n| <= n_max."""
+    if n_max > family.horizon:  # the scan would reach the horizon and abort
+        raise BudgetError(f"time {n_max} exceeds horizon {family.horizon}")
     space = family.space
     cache = FlowCache(family)
     best = worst = metric(space, x, y)
@@ -333,7 +339,7 @@ def li_yorke_classify(
 
 def _ball_samples(space: Space, x, radius, count: int):
     pts = []
-    for i in range(count):
+    for i in range(check_grid_size(count)):
         off = radius * (2 * i / (count - 1) - 1)
         p = (x + off) % 1.0 if space is Space.CIRCLE else min(1.0, max(0.0, x + off))
         if all(q != p for q in pts):
@@ -571,7 +577,7 @@ def minimality_certificate(
 
     if family.exact is not None and family.space is Space.CIRCLE:
         centers = exact_net_centers(Space.CIRCLE, eps)
-        grid_x = [Fraction(j, grid) for j in range(grid)]
+        grid_x = [Fraction(j, grid) for j in range(check_grid_size(grid))]
         for k in range(1, order_cap + 1):
             hull = exact_hull_displacements(family.exact, k, depth)
             miss = None

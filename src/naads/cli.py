@@ -76,9 +76,12 @@ def _parse_value(text):
 
 def _pt(v) -> float:
     try:
-        return float(Fraction(v)) if isinstance(v, str) else float(v)
+        x = float(Fraction(v)) if isinstance(v, str) else float(v)
     except (TypeError, ValueError, ArithmeticError):
         raise SchemaError(f"expected a number, got {v!r}") from None
+    if x != x:
+        raise SchemaError(f"expected a number, got {v!r}")
+    return x
 
 
 def _int(v) -> int:
@@ -233,7 +236,12 @@ def _render_result(result, family, task, timestamp):
     raise TypeError(f"cannot render {type(result)!r}")
 
 
-def _write_outputs(outputs, rendered, family, params):
+def _task_result(name, task, result, family, params):
+    """Checker ``name``'s result: the task's own when the task is ``name``."""
+    return result if task == name else TASKS[name](family, params)
+
+
+def _write_outputs(outputs, rendered, family, task, params, result):
     for out in outputs:
         kind = out.get("kind")
         path = out.get("path")
@@ -246,20 +254,15 @@ def _write_outputs(outputs, rendered, family, params):
         if kind == "orbit_csv":
             x = _pt(_g(params, "x", required=True))
             n = _int(_g(params, "N", required=True))
-            cache = FlowCache(family)
+            window = FlowCache(family).window(x, n)
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["n", "x"])
-                for t in range(-n, n + 1):
-                    writer.writerow([t, repr(cache.omega(t, x))])
+                for t, y in zip(range(-n, n + 1), window):
+                    writer.writerow([t, repr(y)])
             continue
         if kind == "return_raster":
-            rts = checkers.return_time_set(
-                family,
-                _pt(_g(params, "x", required=True)),
-                _pt(_g(params, "eps", required=True)),
-                _int(_g(params, "N", required=True)),
-            )
+            rts = _task_result("return_time_set", task, result, family, params)
             returns = set(rts.times)
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -268,12 +271,7 @@ def _write_outputs(outputs, rendered, family, params):
                     writer.writerow([t, 1 if t in returns else 0])
             continue
         # modulus_curve
-        rep = checkers.equicontinuity_modulus(
-            family,
-            _pt(_g(params, "eps", required=True)),
-            _int(_g(params, "N", 50)),
-            _int(_g(params, "pair_grid", 17)),
-        )
+        rep = _task_result("equicontinuity_modulus", task, result, family, params)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["N", "delta"])
@@ -351,7 +349,7 @@ def _run_scenario_dict(scenario: dict, timestamp: bool) -> int:
     family = _load_family(scenario["family"])
     result = TASKS[task](family, params)
     rendered = _render_result(result, family, task, timestamp)
-    _write_outputs(outputs, rendered, family, params)
+    _write_outputs(outputs, rendered, family, task, params, result)
     if not any(out.get("kind") == "report" for out in outputs):
         sys.stdout.write(rendered)
     else:

@@ -94,6 +94,7 @@ def _example1() -> CorpusEntry:
         rule=lambda n: odd if n % 2 == 1 else even,
         name="example1_tent_sqrt",
         declared_commutative=False,
+        declared_period=2,
     )
     return CorpusEntry(
         name="example1_tent_sqrt",

@@ -5,16 +5,20 @@ identity; time -n is the inverse of the time-n flow, i.e.
 f_1^{-1} o ... o f_n^{-1}.  For families declared commutative the inverse
 factors are applied in ascending index order instead (mathematically equal,
 and it makes backward windows incremental); non-commutative families use the
-literal descending order.
+literal descending order.  FlowCache stores trajectories and reproduces
+these operation orders exactly: ascending for commutative families, blocks
+of one period for families with a declared period, and a per-time memo of
+omega otherwise (see FlowCache).
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Callable, Optional
 
-from .errors import BudgetError, ConstructionError
+from .errors import BudgetError, ConstructionError, PreconditionError
 from .exact import RationalRotationFamily, points_budget
 from .maps import Composite, Homeomorphism
 from .space import Space, metric, nearest_distance
@@ -26,10 +30,11 @@ class MapFamily:
     """A state space plus the rule n -> f_n generating the flow.
 
     ``rule(n)`` must be defined for every n >= 1 up to the horizon; maps are
-    memoized on first use.  ``declared_commutative`` and ``declared_isometric``
+    memoized on first use.  ``declared_commutative``, ``declared_isometric``
+    and ``declared_period`` (a p >= 1 with f_{n+p} = f_n exactly, or None)
     are declarations to be audited, not assumed (see audit_commutativity /
-    audit_isometry).  ``exact`` optionally carries the exact rational view of
-    a rotation family.
+    audit_isometry / audit_period).  ``exact`` optionally carries the exact
+    rational view of a rotation family.
     """
 
     def __init__(
@@ -41,7 +46,16 @@ class MapFamily:
         declared_isometric: bool = False,
         horizon: int = DEFAULT_HORIZON,
         exact: Optional[RationalRotationFamily] = None,
+        declared_period: int | None = None,
     ):
+        if declared_period is not None and (
+            not isinstance(declared_period, int)
+            or isinstance(declared_period, bool)
+            or declared_period < 1
+        ):
+            raise ConstructionError(
+                f"declared_period must be a positive int, got {declared_period!r}"
+            )
         self.space = space
         self.rule = rule
         self.name = name
@@ -49,6 +63,7 @@ class MapFamily:
         self.declared_isometric = declared_isometric
         self.horizon = horizon
         self.exact = exact
+        self.declared_period = declared_period
         self._map_cache: dict[int, Homeomorphism] = {}
 
     def map_at(self, n: int) -> Homeomorphism:
@@ -87,19 +102,63 @@ def omega(family: MapFamily, n: int, x):
 class FlowCache:
     """Memoized flow evaluation; cached values equal fresh omega() bit-for-bit.
 
-    Forward trajectories are extended incrementally per base point.  Backward
-    trajectories are incremental for commutative families (same operation
-    order as omega); otherwise each backward value is computed by omega and
-    memoized.  Entries are keyed by (type(x), x): Fraction(1, 2) and 0.5 are
-    equal and hash alike but have different trajectories.  Confine an
-    instance to one worker, or wrap it yourself.
+    One trajectory store holds every value, keyed by (type(x), x, tag):
+    Fraction(1, 2) and 0.5 are equal and hash alike but have different
+    trajectories.  Tag "+" is the forward trajectory [x, omega_1(x), ...],
+    extended one map at a time as omega's loop does.  Backward values use one
+    of three strategies, chosen from the family's declarations when the
+    cache is made:
+
+    * commutative ascending (tag "-"): entry m is omega_{-m}(x), extended by
+      f_m^{-1} -- the ascending order omega itself uses for these families;
+    * periodic blocks (declared_period p, tags 0 <= s < p): with m = jp + s,
+      omega_{-m}(x) is entry j of the trajectory that starts at
+      omega(-s, x) and is extended by f_p^{-1}, then ..., then f_1^{-1}.
+      omega's descending loop applies f_m^{-1}, ..., f_1^{-1}; as
+      f_{k+p} = f_k, its first s maps are f_s^{-1}, ..., f_1^{-1} and the
+      rest are j copies of that block, so both paths make the same float
+      operations in the same order and agree bit for bit;
+    * per-time memo (any other family, tag n < 0): each omega(n, x) is
+      computed by omega and kept, O(|n|) map applications per value.
+
+    ``window`` extends the trajectories once and assembles its list by
+    slicing.  Confine an instance to one worker, or wrap it yourself.
     """
 
     def __init__(self, family: MapFamily):
         self.family = family
-        self._fwd: dict = {}
-        self._bwd: dict = {}
-        self._bwd_memo: dict = {}
+        self._store: dict = {}
+        self._commutative = family.declared_commutative
+        self._period = family.declared_period
+
+    def _grow(self, key, i: int, traj=None) -> list:
+        """The backward trajectory stored under ``key``, extended through entry i.
+
+        ``traj`` is the list already stored under ``key``, if the caller
+        looked it up.
+        """
+        fam, (_, x, tag) = self.family, key
+        if traj is None:
+            traj = self._store.get(key)
+        if traj is None:
+            traj = self._store[key] = [x if tag == "-" else omega(fam, -tag, x)]
+        if tag == "-":
+            while len(traj) <= i:
+                traj.append(fam.map_at(len(traj)).inverse(traj[-1]))
+        elif len(traj) <= i:
+            block = [fam.map_at(k).inverse for k in range(self._period, 0, -1)]
+            y = traj[-1]
+            while len(traj) <= i:
+                for inverse in block:
+                    y = inverse(y)
+                traj.append(y)
+        return traj
+
+    def _memo(self, x, n: int):
+        key = (type(x), x, n)
+        if key not in self._store:
+            self._store[key] = omega(self.family, n, x)
+        return self._store[key]
 
     def omega(self, n: int, x):
         fam = self.family
@@ -107,42 +166,59 @@ class FlowCache:
             raise BudgetError(f"time {n} exceeds horizon {fam.horizon}")
         if n == 0:
             return x
-        key = (type(x), x)
-        if n > 0:
-            traj = self._fwd.setdefault(key, [x])
+        if n > 0:  # inline: hull enumeration makes many short forward misses
+            key = (type(x), x, "+")
+            traj = self._store.get(key)
+            if traj is None:
+                traj = self._store[key] = [x]
             while len(traj) <= n:
                 traj.append(fam.map_at(len(traj)).forward(traj[-1]))
             return traj[n]
-        m = -n
-        if fam.declared_commutative:
-            traj = self._bwd.setdefault(key, [x])
-            while len(traj) <= m:
-                traj.append(fam.map_at(len(traj)).inverse(traj[-1]))
-            return traj[m]
-        key += (n,)
-        if key not in self._bwd_memo:
-            self._bwd_memo[key] = omega(fam, n, x)
-        return self._bwd_memo[key]
+        if self._commutative:
+            tag, i = "-", -n
+        elif self._period:
+            i, tag = divmod(-n, self._period)
+        else:
+            return self._memo(x, n)
+        key = (type(x), x, tag)
+        traj = self._store.get(key)
+        if traj is None or len(traj) <= i:
+            traj = self._grow(key, i, traj)
+        return traj[i]
 
     def window(self, x, n_max: int) -> list:
         """Flow values at times -n_max..n_max, index i holding time i - n_max."""
-        return [self.omega(n, x) for n in range(-n_max, n_max + 1)]
+        if n_max < 0:
+            raise ValueError("window size must be >= 0")
+        if n_max > self.family.horizon:
+            raise BudgetError(f"time {-n_max} exceeds horizon {self.family.horizon}")
+        self.omega(n_max, x)  # extends the forward trajectory
+        key = (type(x), x)
+        forward = self._store.get(key + ("+",), [x])[:n_max + 1]
+        if self._commutative:
+            return self._grow(key + ("-",), n_max)[n_max:0:-1] + forward
+        p = self._period
+        if p:
+            back = [None] * (n_max + 1)  # back[m] = omega_{-m}(x)
+            for s in range(min(p, n_max + 1)):
+                j = (n_max - s) // p
+                back[s::p] = self._grow(key + (s,), j)[:j + 1]
+            return back[n_max:0:-1] + forward
+        return [self._memo(x, -m) for m in range(n_max, 0, -1)] + forward
 
 
 def orbit_window(family: MapFamily, x, n_max: int, cache: FlowCache | None = None):
     """Ordered list of (n, point) for n in [-n_max, n_max]."""
-    if n_max < 0:
-        raise ValueError("window size must be >= 0")
     cache = cache or FlowCache(family)
-    return [(n, cache.omega(n, x)) for n in range(-n_max, n_max + 1)]
+    return list(zip(range(-n_max, n_max + 1), cache.window(x, n_max)))
 
 
 def block_family(family: MapFamily, r: int) -> MapFamily:
     """The family whose k-th map is the composite of the k-th length-r block.
 
     Block k applies f_{(k-1)r+1} first and f_{kr} last, so the block flow at
-    time k equals the original flow at time k*r.  r = 1 returns the family
-    unchanged.
+    time k equals the original flow at time k*r.  A declared period p becomes
+    p // gcd(p, r).  r = 1 returns the family unchanged.
     """
     if r < 1:
         raise ValueError("block size must be >= 1")
@@ -160,6 +236,7 @@ def block_family(family: MapFamily, r: int) -> MapFamily:
         declared_isometric=family.declared_isometric,
         horizon=family.horizon // r,
         exact=family.exact.block(r) if family.exact is not None else None,
+        declared_period=p // gcd(p, r) if (p := family.declared_period) else None,
     )
 
 
@@ -267,6 +344,35 @@ def audit_commutativity(
                     worst = d
                     witness = (i, j, x)
     return worst <= tol, worst, witness
+
+
+def audit_period(family: MapFamily, horizon: int = 8, grid: int = 17):
+    """Check that f_n and f_{n+p} agree exactly for n <= horizon, p declared.
+
+    Forward and inverse values are compared with == on a uniform grid: the
+    periodic backward windows of FlowCache rely on bit-identical maps, so no
+    tolerance applies.  Returns (ok, max_deviation, witness) where witness is
+    (n, n + p, x) for the largest deviation found (the first mismatch if all
+    mismatches are at distance 0).
+    """
+    from .space import uniform_grid
+
+    p = family.declared_period
+    if p is None:
+        raise PreconditionError(f"{family.name} declares no period")
+    ok, worst, witness = True, 0.0, None
+    pts = uniform_grid(family.space, grid)
+    for n in range(1, horizon + 1):
+        f, g = family.map_at(n), family.map_at(n + p)
+        for x in pts:
+            for a, b in ((f.forward(x), g.forward(x)), (f.inverse(x), g.inverse(x))):
+                if a == b:
+                    continue
+                d = metric(family.space, a, b)
+                if ok or d > worst:
+                    worst, witness = max(worst, d), (n, n + p, x)
+                ok = False
+    return ok, worst, witness
 
 
 def audit_isometry(

@@ -12,11 +12,22 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 # Slack accepted at space boundaries before a point is rejected; floating
 # round-off from map evaluation must not trip the domain check.
 BOUNDARY_TOL = 1e-9
+
+# Most points a grid, net or ball sample may hold: a size of 10**30 must end
+# in a budget error, not in an attempt to build the list.
+GRID_BUDGET = 1 << 16
+
+
+def check_grid_size(count: int) -> int:
+    """``count``, or BudgetError if it exceeds GRID_BUDGET."""
+    if count > GRID_BUDGET:
+        raise BudgetError(f"{count} grid points exceed the budget of {GRID_BUDGET}")
+    return count
 
 
 class Space(Enum):
@@ -90,6 +101,7 @@ def uniform_grid(space: Space, count: int) -> list[float]:
     """``count`` evenly spaced points; interval grids include both endpoints."""
     if count < 2:
         raise ValueError("grid needs at least 2 points")
+    check_grid_size(count)
     if space is Space.CIRCLE:
         return [i / count for i in range(count)]
     return [i / (count - 1) for i in range(count)]
@@ -99,7 +111,7 @@ def net_centers(space: Space, eps) -> list[float]:
     """Centers of a ceil(1/eps)-uniform net covering the space."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    m = math.ceil(1 / eps)
+    m = check_grid_size(math.ceil(1 / eps))
     if space is Space.CIRCLE:
         return [i / m for i in range(m)]
     return [i / m for i in range(m + 1)]
@@ -107,7 +119,7 @@ def net_centers(space: Space, eps) -> list[float]:
 
 def exact_net_centers(space: Space, eps) -> list[Fraction]:
     """Rational version of net_centers, for certificate-grade checks."""
-    m = math.ceil(1 / eps)
+    m = check_grid_size(math.ceil(1 / eps))
     if space is Space.CIRCLE:
         return [Fraction(i, m) for i in range(m)]
     return [Fraction(i, m) for i in range(m + 1)]

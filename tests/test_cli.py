@@ -1,11 +1,23 @@
 """Scenario runner: schema validation, outputs, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from naads.cli import EXIT_INCONCLUSIVE, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from naads import CORPUS_NAMES
+from naads.cli import (
+    EXIT_INCONCLUSIVE,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    TASKS,
+    main,
+)
 
 
 def _scenario(tmp_path, payload, name="scenario.json"):
@@ -269,6 +281,106 @@ class TestBadInputExits64:
         })
         assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: eps must be positive\n"
+
+
+class TestHostileParameters:
+    """Inputs that used to end in a traceback or an unbounded loop."""
+
+    @pytest.mark.parametrize("family, task, params, code", [
+        # nan slipped past `eps <= 0` and emptied the return-time list
+        ("identity", "return_time_set", ["x=0.3", "eps=nan", "N=3"], EXIT_USAGE),
+        ("identity", "almost_periodicity_report", ["x=0.3", "eps=-3", "N=3"], EXIT_USAGE),
+        ("identity", "uniform_ap_report", ["eps=0.1", "N=-3"], EXIT_USAGE),
+        ("identity", "orbit_density", ["x=nan", "eps=0.1", "N=3"], EXIT_USAGE),
+        # sizes of 10**30 ended in an attempt to build the grid
+        ("identity", "uniform_ap_report", ["eps=0.1", "N=3", f"grid_size={10**30}"],
+         EXIT_INCONCLUSIVE),
+        ("identity", "sensitivity_at_point", ["x=0.3", f"samples={2**64}"],
+         EXIT_INCONCLUSIVE),
+        ("circle_ex4", "minimality_certificate", ["eps=1/8", f"grid={10**30}"],
+         EXIT_INCONCLUSIVE),
+        ("identity", "orbit_density", ["x=0.3", "eps=1e-30", "N=3"], EXIT_INCONCLUSIVE),
+        # the exact prefix sums ran on toward time 10**30
+        ("circle_harmonic", "periodicity_check", ["x=0.3", f"r={10**30}"],
+         EXIT_INCONCLUSIVE),
+        # windows past the horizon built exact maps up to the denominator budget
+        ("circle_harmonic", "equicontinuity_modulus", ["eps=0.1", f"N={10**30}"],
+         EXIT_INCONCLUSIVE),
+        ("circle_harmonic", "proximal_liminf", ["x=0.3", "y=0.6", f"N={2**64}"],
+         EXIT_INCONCLUSIVE),
+    ])
+    def test_exit_code(self, capsys, family, task, params, code):
+        argv = ["--no-timestamp", "check", family, task]
+        for item in params:
+            argv += ["--param", item]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# The parameters each task reads; every other key is ignored by the task.
+_TASK_PARAMS = {
+    "periodicity_check": ("x", "r", "horizon", "tol"),
+    "return_time_set": ("x", "eps", "N"),
+    "almost_periodicity_report": ("x", "eps", "N"),
+    "uniform_ap_report": ("eps", "N", "grid_size"),
+    "equicontinuity_modulus": ("eps", "N", "pair_grid"),
+    "proximal_liminf": ("x", "y", "N"),
+    "li_yorke_classify": ("x", "y", "N", "low_tol", "high_tol"),
+    "sensitivity_at_point": ("x", "delta", "radii", "samples", "N"),
+    "orbit_density": ("x", "eps", "N"),
+    "transitivity_scan": ("eps", "N", "grid"),
+    "r_transitivity_check": ("r", "eps", "N", "grid"),
+    "minimality_certificate": ("eps", "order_cap", "depth", "grid"),
+    "hull_periodicity_property": ("x", "r", "order_k", "depth", "horizon", "tol"),
+    "ap_propagation_check": ("x", "eps", "N", "order_k", "depth"),
+    "hull_closure_equality": ("x", "eps", "N", "order_k", "depth", "y"),
+    "dichotomy_scan": ("eps", "delta", "grid", "order_k", "depth", "N"),
+}
+
+_HOSTILE = ("", "abc", "1/0", "-3", "0", "inf", "-inf", "nan", str(10 ** 30), str(2 ** 64))
+
+# Small valid values, so that a drawn job stays fast.
+_SMALL = {
+    "x": ("0", "0.3", "1/2"), "y": ("0.7", "1/3"), "eps": ("0.1", "1/8", "0.3"),
+    "N": ("1", "4", "8"), "r": ("1", "2", "3"), "horizon": ("2", "5"),
+    "tol": ("1e-9",), "grid_size": ("2", "4"), "pair_grid": ("3", "5"),
+    "low_tol": ("0.001",), "high_tol": ("0.3",), "delta": ("0.25",),
+    "radii": ("0.1", "0.1,0.01"), "samples": ("2", "4"), "grid": ("2", "4"),
+    "order_cap": ("1", "2"), "depth": ("1", "2"), "order_k": ("1", "2"),
+}
+
+
+@st.composite
+def _check_argv(draw):
+    task = draw(st.sampled_from(sorted(TASKS)))
+    argv = ["--no-timestamp", "check", draw(st.sampled_from(CORPUS_NAMES)), task]
+    for key in _TASK_PARAMS[task]:
+        value = draw(st.one_of(
+            st.none(), st.sampled_from(_SMALL[key]), st.sampled_from(_HOSTILE)))
+        if value is not None:
+            argv += ["--param", f"{key}={value}"]
+    expect = draw(st.sampled_from((None, "EvidenceFor", "Refuted")))
+    if expect is not None:
+        argv += ["--expect", expect]
+    return argv, expect
+
+
+def test_task_params_cover_the_task_table():
+    assert set(_TASK_PARAMS) == set(TASKS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(job=_check_argv())
+def test_check_fuzz_exit_codes(job):
+    argv, expect = job
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)  # an exception here would reach the user as a traceback
+    allowed = {EXIT_OK, EXIT_INCONCLUSIVE, EXIT_USAGE}
+    if expect is not None:
+        allowed.add(EXIT_MISMATCH)
+    assert code in allowed, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestDeterminism:

@@ -3,18 +3,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naads import (
     BudgetError,
+    Composite,
     ConstructionError,
     FlowCache,
     MapFamily,
     PiecewiseLinear,
     PowerMap,
+    PreconditionError,
+    Reflection,
     SchemaError,
     Space,
     audit_commutativity,
     audit_isometry,
+    audit_period,
     block_family,
     corpus,
     exact_hull_displacements,
@@ -33,6 +39,17 @@ def _noncommuting() -> MapFamily:
         rule=lambda n: f1 if n % 2 == 1 else f2,
         name="pl_then_square",
     )
+
+
+def _bits(v):
+    """Type and exact value: 0.0 and -0.0, or 0.5 and Fraction(1, 2), differ."""
+    return type(v), repr(v)
+
+
+def _assert_window_literal(fam, cache, x, n_max):
+    win = cache.window(x, n_max)
+    assert [_bits(v) for v in win] == [
+        _bits(omega(fam, n, x)) for n in range(-n_max, n_max + 1)]
 
 
 class TestOmega:
@@ -121,6 +138,121 @@ class TestFlowCache:
         assert pts[3] == (0, 0.5)
         with pytest.raises(ValueError):
             orbit_window(fam, 0.5, -1)
+
+
+class TestPeriodicStore:
+    """Periodic backward trajectories reproduce the literal omega bit for bit."""
+
+    @pytest.mark.parametrize("bad", [0, -2, 2.0, True, "2", Fraction(2)])
+    def test_declared_period_must_be_positive_int(self, bad):
+        with pytest.raises(ConstructionError):
+            MapFamily(Space.UNIT_INTERVAL, lambda n: PowerMap(1), "bad",
+                      declared_period=bad)
+
+    def test_example1_declares_period_2(self):
+        fam = corpus("example1_tent_sqrt").family
+        assert fam.declared_period == 2 and not fam.declared_commutative
+
+    def test_one_trajectory_store(self):
+        cache = FlowCache(corpus("example1_tent_sqrt").family)
+        cache.window(0.3, 7)
+        cache.omega(-9, Fraction(1, 3))
+        assert [k for k, v in vars(cache).items() if isinstance(v, dict)] == ["_store"]
+        # one forward and two residue trajectories per base point
+        assert {k[2] for k in cache._store if k[1] == 0.3} == {"+", 0, 1}
+
+    @pytest.mark.parametrize("x", [0, 0.0, Fraction(1, 2), 0.5, 0.3])
+    def test_example1_windows_and_times(self, x):
+        fam = corpus("example1_tent_sqrt").family
+        cache = FlowCache(fam)
+        for n in (-7, 3, -1, 0, -8, 12, -13):
+            assert _bits(cache.omega(n, x)) == _bits(omega(fam, n, x))
+        for n_max in (0, 1, 2, 5, 30):
+            _assert_window_literal(fam, cache, x, n_max)
+
+    def test_window_validates_size(self):
+        fam = corpus("example1_tent_sqrt").family
+        cache = FlowCache(fam)
+        with pytest.raises(ValueError):
+            cache.window(0.3, -1)
+        with pytest.raises(BudgetError):
+            cache.window(0.3, fam.horizon + 1)
+
+    def test_undeclared_family_keeps_memo(self):
+        fam = _noncommuting()
+        cache = FlowCache(fam)
+        _assert_window_literal(fam, cache, 0.45, 9)
+        assert _bits(cache.omega(-4, 0.45)) == _bits(omega(fam, -4, 0.45))
+
+    @pytest.mark.parametrize("r, period", [(2, 1), (3, 2), (4, 1)])
+    def test_block_family_period_and_windows(self, r, period):
+        blocks = block_family(corpus("example1_tent_sqrt").family, r)
+        assert blocks.declared_period == period
+        assert audit_period(blocks)[0]
+        cache = FlowCache(blocks)
+        for x in (0, 0.3, Fraction(1, 2)):
+            cache.omega(-5, x)
+            _assert_window_literal(blocks, cache, x, 11)
+
+    def test_block_family_without_period(self):
+        assert block_family(_noncommuting(), 3).declared_period is None
+
+
+_PL_NODE = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
+
+
+@st.composite
+def _cycle_map(draw):
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=3))
+        xs = sorted(draw(st.lists(_PL_NODE, min_size=k, max_size=k, unique=True)))
+        ys = sorted(draw(st.lists(_PL_NODE, min_size=k, max_size=k, unique=True)))
+        return PiecewiseLinear([(0, 0), *zip(xs, ys), (1, 1)])
+    e = draw(st.fractions(min_value=Fraction(1, 4), max_value=4))
+    return Composite([PowerMap(e), Reflection()])
+
+
+_ACCESS = st.lists(
+    st.one_of(
+        st.tuples(st.just("omega"), st.integers(min_value=-40, max_value=40)),
+        st.tuples(st.just("window"), st.integers(min_value=0, max_value=25)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+_BASE = st.one_of(
+    st.floats(min_value=0, max_value=1, allow_nan=False),
+    st.fractions(min_value=0, max_value=1, max_denominator=64),
+)
+
+
+def _replay_accesses(fam, x, accesses):
+    cache = FlowCache(fam)
+    for kind, n in accesses:
+        if kind == "omega":
+            assert _bits(cache.omega(n, x)) == _bits(omega(fam, n, x)), n
+        else:
+            _assert_window_literal(fam, cache, x, n)
+
+
+class TestPeriodicDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(cycle=st.lists(_cycle_map(), min_size=1, max_size=4), x=_BASE,
+           accesses=_ACCESS)
+    def test_random_periodic_cycles(self, cycle, x, accesses):
+        fam = MapFamily(
+            Space.UNIT_INTERVAL,
+            lambda n: cycle[(n - 1) % len(cycle)],
+            "random_cycle",
+            declared_period=len(cycle),
+        )
+        _replay_accesses(fam, x, accesses)
+
+    @settings(max_examples=30, deadline=None)
+    @given(x=st.sampled_from([0, 0.0, Fraction(1, 2), 0.5, 0.3]), accesses=_ACCESS)
+    def test_example1(self, x, accesses):
+        _replay_accesses(corpus("example1_tent_sqrt").family, x, accesses)
 
 
 class TestBlockFamily:
@@ -212,6 +344,37 @@ class TestHullSample:
 
 
 class TestAudits:
+    def test_period_audit(self):
+        ok, worst, witness = audit_period(corpus("example1_tent_sqrt").family)
+        assert ok and worst == 0.0 and witness is None
+
+    def test_period_audit_finds_altered_map(self):
+        odd = PiecewiseLinear([(0, 0), (0.5, 0.25), (1, 1)])
+        even = Composite([PowerMap(Fraction(1, 2)), Reflection()])
+        altered = PiecewiseLinear([(0, 0), (0.5, 0.3), (1, 1)])
+        fam = MapFamily(
+            Space.UNIT_INTERVAL,
+            lambda n: altered if n == 5 else (odd if n % 2 else even),
+            "altered_at_5",
+            declared_period=2,
+        )
+        ok, worst, witness = audit_period(fam)
+        assert not ok and worst > 0.01
+        assert 5 in witness[:2] and witness[1] - witness[0] == 2
+
+    def test_period_audit_is_exact(self):
+        # a deviation far below any tolerance still fails the audit
+        f = PiecewiseLinear([(0, 0), (0.5, 0.5), (1, 1)])
+        g = PiecewiseLinear([(0, 0), (0.5, 0.5 + 2 ** -40), (1, 1)])
+        fam = MapFamily(Space.UNIT_INTERVAL, lambda n: g if n == 3 else f, "tiny",
+                        declared_period=1)
+        ok, worst, witness = audit_period(fam)
+        assert not ok and 0 < worst < 1e-9 and witness[:2] in ((2, 3), (3, 4))
+
+    def test_period_audit_needs_declaration(self):
+        with pytest.raises(PreconditionError):
+            audit_period(corpus("example2_powers").family)
+
     def test_commutativity_audit(self):
         ok, worst, _ = audit_commutativity(corpus("example2_powers").family)
         assert ok and worst <= 1e-9
