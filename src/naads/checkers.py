@@ -699,6 +699,12 @@ def hull_periodicity_property(
     Rejected for non-commutative families, where the property genuinely
     fails; a failing hull point on a commutative family is therefore a
     refutation witness (and in practice a bug indicator).
+
+    A Certified base check covers every hull point: it comes from the exact
+    displacements alone, which do not depend on the point (a rotation flow
+    fixes every point or none), so each point's check would repeat it with
+    the same arguments.  The hull is still sampled for ``hull_size``.  Float
+    families check each sampled hull point.
     """
     _require_commutative(family, "hull_periodicity_property")
     base = periodicity_check(family, x, r, horizon, tol)
@@ -717,16 +723,18 @@ def hull_periodicity_property(
     }
     cache = FlowCache(family)
     hs = hull_sample(family, x, order_k, depth, cache=cache)
-    for p in hs.points:
-        rep = periodicity_check(family, p, r, horizon, tol)
-        if rep.verdict not in (Verdict.CERTIFIED, Verdict.EVIDENCE_FOR):
-            return PropertyReport(
-                "hull_periodicity",
-                Verdict.REFUTED,
-                params,
-                witnesses=list(rep.witnesses),
-                details={"failing_point": p, "hull_size": len(hs.points)},
-            )
+    # a Certified base is exact and point-free; it covers every hull point
+    if base.verdict is Verdict.EVIDENCE_FOR:
+        for p in hs.points:
+            rep = periodicity_check(family, p, r, horizon, tol)
+            if rep.verdict not in (Verdict.CERTIFIED, Verdict.EVIDENCE_FOR):
+                return PropertyReport(
+                    "hull_periodicity",
+                    Verdict.REFUTED,
+                    params,
+                    witnesses=list(rep.witnesses),
+                    details={"failing_point": p, "hull_size": len(hs.points)},
+                )
     return PropertyReport(
         "hull_periodicity",
         Verdict.EVIDENCE_FOR,

@@ -380,8 +380,8 @@ def main(argv=None) -> int:
         "--seed",
         type=int,
         default=None,
-        help="seed for opt-in random sampling (default sampling is a fixed "
-        "low-discrepancy scheme, so this normally has no effect)",
+        help="accepted and ignored: all sampling is a fixed low-discrepancy "
+        "scheme, and the seed is not written to the report",
     )
     sub = parser.add_subparsers(dest="command")
 

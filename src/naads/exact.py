@@ -88,25 +88,30 @@ class RationalRotationFamily:
     """Indexed sequence n -> exact signed rotation amount of the n-th map.
 
     ``rule(n)`` returns the displacement of f_n as a RationalAngle for n >= 1.
-    Flow displacements are prefix sums mod 1, memoized; negative times negate.
+    Steps and flow displacements (prefix sums mod 1) are memoized, so each
+    index calls ``rule`` once; negative times negate.
     """
 
     def __init__(self, rule: Callable[[int], RationalAngle], name: str):
         self.rule = rule
         self.name = name
+        self._steps: dict[int, RationalAngle] = {}
         self._prefix = [ZERO]  # _prefix[n] = displacement of omega_n
 
     def step(self, n: int) -> RationalAngle:
         if n < 1:
             raise ValueError("step index must be >= 1")
-        return self.rule(n)
+        a = self._steps.get(n)
+        if a is None:
+            a = self._steps[n] = self.rule(n)
+        return a
 
     def displacement(self, n: int) -> RationalAngle:
         """Exact displacement of the flow at signed time n; 0 at n = 0."""
         m = abs(n)
         while len(self._prefix) <= m:
             k = len(self._prefix)
-            self._prefix.append(self._prefix[-1] + self.rule(k))
+            self._prefix.append(self._prefix[-1] + self.step(k))
         d = self._prefix[m]
         return -d if n < 0 else d
 

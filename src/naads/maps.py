@@ -114,10 +114,20 @@ class CircleRotation(Homeomorphism):
 
     Rational angles are kept exact; rotating a Fraction point by a rational
     angle stays in exact arithmetic, everything else runs in floats mod 1.
+    A Fraction angle already in [0, 1) is kept as the same object, so a map
+    built from an exact step shares its value.
+
+    Float points inside the circle coordinates take a fast path that makes
+    the float operations of ``wrap_circle(x + angle)`` in the same order
+    (``x - a`` is ``x + (-a)`` in IEEE arithmetic), so its results equal the
+    general path's bit for bit; every other point (int, Fraction, out of
+    range) goes through ``_shift``.
     """
 
     def __init__(self, angle):
-        if isinstance(angle, (int, str, Fraction)):
+        if type(angle) is Fraction and 0 <= angle < 1:
+            self.angle = angle
+        elif isinstance(angle, (int, str, Fraction)):
             self.angle = Fraction(angle) % 1
         else:
             self.angle = float(angle) % 1.0
@@ -131,9 +141,15 @@ class CircleRotation(Homeomorphism):
         return wrap_circle(x + amount_float)
 
     def forward(self, x):
+        if type(x) is float and -BOUNDARY_TOL <= x < 1 + BOUNDARY_TOL:
+            y = (x + self._angle_float) % 1.0
+            return y - 1.0 if y >= 1.0 else y
         return self._shift(x, self.angle, self._angle_float)
 
     def inverse(self, x):
+        if type(x) is float and -BOUNDARY_TOL <= x < 1 + BOUNDARY_TOL:
+            y = (x - self._angle_float) % 1.0
+            return y - 1.0 if y >= 1.0 else y
         return self._shift(x, -self.angle, -self._angle_float)
 
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from naads import checkers
 from naads import (
+    MapFamily,
     PreconditionError,
     Verdict,
     almost_periodicity_report,
@@ -269,6 +271,26 @@ class TestHullProperties:
         rep = hull_periodicity_property(fam["circle_ex4"], 0.3, 2)
         assert rep.verdict is Verdict.EVIDENCE_FOR
         assert rep.details["failing_points"] == 0
+
+    def test_certified_base_covers_the_hull(self, monkeypatch):
+        # one exact certificate on a rotation family; one check per hull
+        # point on the same maps without the exact view
+        exact_fam = corpus("circle_ex4").family
+        float_fam = MapFamily(exact_fam.space, exact_fam.rule, exact_fam.name,
+                              declared_commutative=True, declared_isometric=True)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return periodicity_check(*args)
+
+        monkeypatch.setattr(checkers, "periodicity_check", counted)
+        rep = hull_periodicity_property(exact_fam, 0.3, 2, order_k=3, depth=3)
+        assert len(calls) == 1
+        del calls[:]
+        float_rep = hull_periodicity_property(float_fam, 0.3, 2, order_k=3, depth=3)
+        assert len(calls) == 1 + rep.details["hull_size"]
+        assert float_rep.details == rep.details
 
     def test_hull_periodicity_requires_commutativity(self, fam):
         with pytest.raises(PreconditionError):

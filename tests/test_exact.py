@@ -94,6 +94,27 @@ class TestDisplacements:
             fam.block(0)
 
 
+    def test_each_step_built_once(self):
+        calls = []
+
+        def rule(n):
+            calls.append(n)
+            return RationalAngle(Fraction(1, n + 1))
+
+        fam = RationalRotationFamily(rule, "counted")
+        fam.displacement(-6)
+        assert fam.step(4) is fam.step(4)
+        fam.step(9)
+        fam.displacement(9)
+        assert sorted(calls) == list(range(1, 10))
+
+    def test_corpus_maps_share_the_step_value(self):
+        # the float map of a rotation family holds the exact step's Fraction
+        entry = corpus("circle_harmonic")
+        for n in range(1, 12):
+            assert entry.family.map_at(n).angle is entry.exact.step(n).value
+
+
 class TestExactPeriodicity:
     def test_ex4_period_two_certificate(self):
         fam = corpus("circle_ex4").exact

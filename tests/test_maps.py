@@ -132,6 +132,12 @@ class TestCircleRotation:
         assert r.forward(0.5) == pytest.approx(0.25)
         assert 0 <= r.forward(0.9999999999) < 1
 
+    def test_reduced_fraction_angle_kept(self):
+        a = Fraction(2, 7)
+        assert CircleRotation(a).angle is a
+        assert CircleRotation(Fraction(9, 7)).angle == a
+        assert CircleRotation(Fraction(-5, 7)).angle == a
+
     def test_inverse_roundtrip(self):
         r = CircleRotation(Fraction(2, 7))
         for x in [i / 13 for i in range(13)]:

@@ -1,21 +1,27 @@
 """Property-based invariants over random inputs (hypothesis)."""
 
+import math
 from fractions import Fraction
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from naads import (
     CircleRotation,
+    DomainError,
     FlowCache,
     MapFamily,
     PiecewiseLinear,
     PowerMap,
+    PreconditionError,
     RationalAngle,
+    RationalRotationFamily,
     Space,
     Verdict,
     corpus,
     exact_density_gap,
+    hull_periodicity_property,
     hull_sample,
     li_yorke_classify,
     metric,
@@ -27,6 +33,7 @@ from naads import (
     return_time_set,
 )
 from naads.checkers import _eps_dense, _scan_times
+from naads.space import BOUNDARY_TOL
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 circle_pt = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
@@ -68,6 +75,82 @@ class TestMapInvariants:
         assert 0 <= d <= 0.5
         assert d == metric(Space.CIRCLE, y, x)
         assert d <= metric(Space.CIRCLE, x, z) + metric(Space.CIRCLE, z, y) + 1e-12
+
+
+def _reference_angle(angle):
+    if isinstance(angle, (int, str, Fraction)):
+        return Fraction(angle) % 1
+    return float(angle) % 1.0
+
+
+def _reference_rotate(angle, x, inverse=False):
+    """CircleRotation.forward / inverse as the general path computes them.
+
+    A copy of the constructor, ``_shift`` and the float branch of
+    ``wrap_circle``, which the float fast path must match bit for bit.
+    """
+    angle = _reference_angle(angle)
+    amount, amount_float = angle, float(angle)
+    if inverse:
+        amount, amount_float = -amount, -amount_float
+    if isinstance(x, Fraction) and isinstance(angle, Fraction):
+        return (x + amount) % 1
+    if not (-BOUNDARY_TOL <= x < 1 + BOUNDARY_TOL):
+        raise DomainError(f"point {x!r} outside circle coordinates")
+    y = (x + amount_float) % 1.0
+    if y >= 1.0:
+        y -= 1.0
+    return y
+
+
+def _outcome(f, *args):
+    try:
+        y = f(*args)
+    except DomainError:
+        return DomainError
+    return type(y), repr(y)
+
+
+kernel_angle = st.one_of(
+    st.floats(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=1 << 20),
+    st.integers(min_value=-3, max_value=3),
+)
+kernel_pt = st.one_of(
+    st.floats(min_value=-BOUNDARY_TOL, max_value=1 + BOUNDARY_TOL, exclude_max=True),
+    st.sampled_from([-0.0, 0.0, 1 - 2**-53, -1e-20, -5e-324, -BOUNDARY_TOL,
+                     1 + BOUNDARY_TOL, math.nextafter(1 + BOUNDARY_TOL, 0)]),
+    st.floats(),  # mostly outside the circle coordinates, nan and inf included
+    st.integers(min_value=-2, max_value=2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=1 << 20),
+)
+
+
+class TestRotationKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(angle=kernel_angle, x=kernel_pt)
+    # (x + angle) % 1.0 rounds up to 1.0 and is folded back to 0.0
+    @example(angle=0.0, x=-1e-20)
+    @example(angle=0.25, x=math.nextafter(0.25, 0))
+    @example(angle=Fraction(1, 4), x=math.nextafter(0.25, 0))
+    @example(angle=0.75, x=math.nextafter(0.25, 0))
+    @example(angle=Fraction(1, 3), x=Fraction(5, 2))  # exact path: no range check
+    def test_matches_general_path(self, angle, x):
+        h = CircleRotation(angle)
+        ref = _reference_angle(angle)
+        assert (type(h.angle), repr(h.angle)) == (type(ref), repr(ref))
+        assert _outcome(h.forward, x) == _outcome(_reference_rotate, angle, x)
+        assert _outcome(h.inverse, x) == _outcome(_reference_rotate, angle, x, True)
+
+    @given(angle=kernel_angle, x=st.one_of(
+        st.floats(max_value=-2 * BOUNDARY_TOL), st.floats(min_value=1 + BOUNDARY_TOL),
+        st.just(math.nan), st.integers(min_value=2), st.integers(max_value=-1)))
+    def test_out_of_range_points_raise(self, angle, x):
+        h = CircleRotation(angle)
+        with pytest.raises(DomainError):
+            h.forward(x)
+        with pytest.raises(DomainError):
+            h.inverse(x)
 
 
 class TestExactInvariants:
@@ -298,3 +381,53 @@ class TestEpsDenseMatchesScan:
         x = (j % q) / q
         got = _eps_dense(cache, x, eps, n_max)
         assert repr(got) == repr(_reference_eps_dense(cache, x, eps, n_max))
+
+
+def _rotation_cycle(angles):
+    """The inline rotation family of ``angles`` and the same maps without ``exact``."""
+    exact_fam = MapFamily(
+        Space.CIRCLE,
+        lambda n: CircleRotation(angles[(n - 1) % len(angles)]),
+        "cycle",
+        declared_commutative=True,
+        declared_isometric=True,
+        exact=RationalRotationFamily(
+            lambda n: RationalAngle(angles[(n - 1) % len(angles)]), "cycle"),
+    )
+    float_fam = MapFamily(Space.CIRCLE, exact_fam.rule, "cycle",
+                          declared_commutative=True, declared_isometric=True)
+    return exact_fam, float_fam
+
+
+class TestExactMatchesFloatPeriodicity:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        angles=st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=12),
+                        min_size=1, max_size=3),
+        closed=st.booleans(),
+        mult=st.integers(min_value=1, max_value=2),
+        x=circle_pt,
+        order_k=st.integers(min_value=1, max_value=3),
+        depth=st.integers(min_value=1, max_value=3),
+    )
+    def test_rotation_cycles(self, angles, closed, mult, x, order_k, depth):
+        if closed:  # the cycle sums to a whole turn: period len(angles)
+            angles = angles + [-sum(angles)]
+        r, horizon = len(angles) * mult, 6
+        exact_fam, float_fam = _rotation_cycle(angles)
+        exact_rep = periodicity_check(exact_fam, x, r, horizon)
+        event(exact_rep.verdict.value)
+        float_rep = periodicity_check(float_fam, x, r, horizon)
+        expected = {Verdict.CERTIFIED: Verdict.EVIDENCE_FOR,
+                    Verdict.REFUTED: Verdict.REFUTED}[exact_rep.verdict]
+        assert float_rep.verdict is expected
+        if expected is Verdict.REFUTED:
+            for fam in (exact_fam, float_fam):
+                with pytest.raises(PreconditionError):
+                    hull_periodicity_property(fam, x, r, order_k, depth, horizon)
+            return
+        exact_hull = hull_periodicity_property(exact_fam, x, r, order_k, depth, horizon)
+        float_hull = hull_periodicity_property(float_fam, x, r, order_k, depth, horizon)
+        assert exact_hull.verdict is float_hull.verdict is Verdict.EVIDENCE_FOR
+        assert exact_hull.details["failing_points"] == 0
+        assert float_hull.details == exact_hull.details
