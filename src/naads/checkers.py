@@ -28,6 +28,7 @@ from .space import (
     metric,
     nearest_distance,
     net_centers,
+    spread_exceeds,
     uniform_grid,
 )
 
@@ -116,8 +117,8 @@ def _return_times(cache: FlowCache, x, eps, n_max: int) -> ReturnTimeSet:
     space = cache.family.space
     times = [
         n
-        for n in range(-n_max, n_max + 1)
-        if metric(space, cache.omega(n, x), x) < eps
+        for n, y in zip(range(-n_max, n_max + 1), cache.window(x, n_max))
+        if metric(space, y, x) < eps
     ]
     internal = max(
         (b - a for a, b in zip(times, times[1:])), default=0
@@ -218,6 +219,31 @@ def _nearby_pairs(space: Space, grid_pts, delta):
     return pairs
 
 
+def _first_far_time(space: Space, cache: FlowCache, a, b, w: int, eps, done: int = -1):
+    """First (n, d) in _scan_times(w) order with d(omega_n a, omega_n b) >= eps.
+
+    None if the pair stays eps-close for |n| <= w.  Times with |n| <= done
+    are known to be close and are skipped.  The pair's windows grow by
+    doubling, so a pair that separates at time n costs flow values up to
+    about 2|n|, and one that stays close costs a few window slices instead of
+    two cache.omega calls per time.
+    """
+    m = min(w, max(8, 2 * done))
+    while True:
+        wa, wb = cache.window(a, m), cache.window(b, m)
+        for k in range(done + 1, m + 1):
+            d = metric(space, wa[m + k], wb[m + k])
+            if d >= eps:
+                return k, d
+            if k:
+                d = metric(space, wa[m - k], wb[m - k])
+                if d >= eps:
+                    return -k, d
+        if m == w:
+            return None
+        done, m = m, min(w, 2 * m)
+
+
 def equicontinuity_modulus(
     family: MapFamily, eps, n_max: int = 50, pair_grid: int = 17
 ) -> PropertyReport:
@@ -241,17 +267,20 @@ def equicontinuity_modulus(
 
     deltas = []
     witness = None
+    # (a, b) -> (window scanned, first far time or None); windows only grow
+    # and scan orders are prefixes of each other, so each time is read once
+    scanned = {}
     for w in windows:
         found = 0.0
         for delta in candidates:
             fail = None
             for a, b in _nearby_pairs(space, grid_pts, delta):
-                for n in _scan_times(w):
-                    d = metric(space, cache.omega(n, a), cache.omega(n, b))
-                    if d >= eps:
-                        fail = (a, b, n, d)
-                        break
-                if fail:
+                done, far = scanned.get((a, b), (-1, None))
+                if far is None and done < w:
+                    far = _first_far_time(space, cache, a, b, w, eps, done)
+                    scanned[(a, b)] = (w, far)
+                if far is not None:
+                    fail = (a, b, *far)
                     break
             if fail is None:
                 found = delta
@@ -383,6 +412,8 @@ def sensitivity_at_point(
         hit = None
         for k in _scan_times(n_max):
             idx = k + n_max
+            if not spread_exceeds(space, [win[idx] for win in wins], delta):
+                continue
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     d = metric(space, wins[i][idx], wins[j][idx])

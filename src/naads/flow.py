@@ -143,8 +143,10 @@ class FlowCache:
         if traj is None:
             traj = self._store[key] = [x if tag == "-" else omega(fam, -tag, x)]
         if tag == "-":
-            while len(traj) <= i:
-                traj.append(fam.map_at(len(traj)).inverse(traj[-1]))
+            y, map_at = traj[-1], fam.map_at
+            for k in range(len(traj), i + 1):
+                y = map_at(k).inverse(y)
+                traj.append(y)
         elif len(traj) <= i:
             block = [fam.map_at(k).inverse for k in range(self._period, 0, -1)]
             y = traj[-1]
@@ -171,8 +173,11 @@ class FlowCache:
             traj = self._store.get(key)
             if traj is None:
                 traj = self._store[key] = [x]
-            while len(traj) <= n:
-                traj.append(fam.map_at(len(traj)).forward(traj[-1]))
+            if len(traj) <= n:
+                y, map_at = traj[-1], fam.map_at
+                for k in range(len(traj), n + 1):
+                    y = map_at(k).forward(y)
+                    traj.append(y)
             return traj[n]
         if self._commutative:
             tag, i = "-", -n

@@ -93,6 +93,32 @@ def nearest_distance(space: Space, sorted_points, q):
     return min([metric(space, q, p) for p in near])
 
 
+def spread_exceeds(space: Space, points, delta) -> bool:
+    """``any(metric(space, p, q) > delta for pairs p, q of points)``, bit for bit.
+
+    Rounded subtraction is monotone, so once the points are sorted, q - p
+    grows with q.  On the interval the widest pair decides.  On the circle
+    min(d, 1 - d) > delta needs d > delta, and 1 - d only falls as d grows,
+    so for each p only the first q with q - p > delta can pass; that q never
+    moves left as p moves right.  O(m log m) instead of m^2 / 2 metric calls.
+    """
+    s = sorted(points)
+    if len(s) < 2:
+        return False
+    if space is not Space.CIRCLE:
+        return metric(space, s[0], s[-1]) > delta
+    j = 0
+    for i, p in enumerate(s):
+        j = max(j, i + 1)
+        while j < len(s) and not s[j] - p > delta:
+            j += 1
+        if j == len(s):
+            return False
+        if metric(space, p, s[j]) > delta:
+            return True
+    return False
+
+
 def diameter(space: Space) -> float:
     return 0.5 if space is Space.CIRCLE else 1.0
 

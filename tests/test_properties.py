@@ -20,6 +20,7 @@ from naads import (
     Space,
     Verdict,
     corpus,
+    equicontinuity_modulus,
     exact_density_gap,
     hull_periodicity_property,
     hull_sample,
@@ -31,9 +32,10 @@ from naads import (
     periodicity_check,
     replay_witness,
     return_time_set,
+    sensitivity_at_point,
 )
-from naads.checkers import _eps_dense, _scan_times
-from naads.space import BOUNDARY_TOL
+from naads.checkers import _ball_samples, _eps_dense, _nearby_pairs, _scan_times
+from naads.space import BOUNDARY_TOL, diameter, spread_exceeds, uniform_grid
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 circle_pt = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
@@ -276,6 +278,137 @@ class TestNearestDistance:
         got = nearest_distance(space, sorted(pts), q)
         assert got == min(metric(space, q, p) for p in pts)
         assert isinstance(got, Fraction)
+
+
+class TestSpreadExceeds:
+    @given(
+        space=st.sampled_from(list(Space)),
+        pts=st.lists(float_pt, max_size=10),
+        delta=st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5 - 2 ** -53, 0.5, -1.0]),
+                        unit),
+    )
+    @example(space=Space.CIRCLE, pts=[0.05, 0.95], delta=0.125)  # close across 0
+    @example(space=Space.CIRCLE, pts=[0.0, 0.5, 0.95], delta=0.25)
+    @example(space=Space.UNIT_INTERVAL, pts=[0.3], delta=-1.0)  # no pair at all
+    @example(space=Space.CIRCLE, pts=[0.0, 0.75], delta=0.25)  # 1 - d ties delta
+    @example(space=Space.UNIT_INTERVAL, pts=[0.5, 0.25, 0.375], delta=0.25)
+    def test_float_points_equal_all_pairs(self, space, pts, delta):
+        if space is Space.CIRCLE:
+            pts = [p % 1.0 for p in pts]
+        pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
+        assert spread_exceeds(space, pts, delta) == any(
+            metric(space, p, q) > delta for p, q in pairs)
+
+    @given(
+        space=st.sampled_from(list(Space)),
+        pts=st.lists(frac_pt, max_size=10),
+        delta=st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=16),
+    )
+    def test_fraction_points_equal_all_pairs(self, space, pts, delta):
+        if space is Space.CIRCLE:
+            pts = [p % 1 for p in pts]
+        pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
+        assert spread_exceeds(space, pts, delta) == any(
+            metric(space, p, q) > delta for p, q in pairs)
+
+
+def _reference_equicontinuity(family, eps, n_max, pair_grid):
+    """equicontinuity_modulus's scan with one cache.omega call per time."""
+    space, cache = family.space, FlowCache(family)
+    grid_pts = uniform_grid(space, pair_grid)
+    deltas, witness = [], None
+    for w in (n_max, 2 * n_max, 4 * n_max):
+        found = 0.0
+        for delta in [eps / 2 ** i for i in range(21)]:
+            fail = None
+            for a, b in _nearby_pairs(space, grid_pts, delta):
+                for n in _scan_times(w):
+                    d = metric(space, cache.omega(n, a), cache.omega(n, b))
+                    if d >= eps:
+                        fail = (a, b, n, d)
+                        break
+                if fail:
+                    break
+            if fail is None:
+                found = delta
+                break
+            witness = fail
+        deltas.append(found)
+    return deltas, witness
+
+
+def _reference_sensitivity(family, x, radii, samples, n_max):
+    """sensitivity_at_point's scan over every pair at every time."""
+    space, cache = family.space, FlowCache(family)
+    delta = diameter(space) / 4
+    hits = []
+    for radius in radii:
+        pts = _ball_samples(space, x, radius, samples)
+        wins = [cache.window(p, n_max) for p in pts]
+        hit = next(((pts[i], pts[j], k, d) for k in _scan_times(n_max)
+                    for i in range(len(pts)) for j in range(i + 1, len(pts))
+                    if (d := metric(space, wins[i][k + n_max], wins[j][k + n_max]))
+                    > delta), None)
+        hits.append(hit)
+        if hit is None:
+            break
+    return hits
+
+
+# families whose pairs separate (example1, example2, square_sqrt) and
+# isometries whose pairs never do
+scan_family = st.sampled_from(
+    ["example1_tent_sqrt", "example2_powers", "interval_square_sqrt",
+     "circle_harmonic", "circle_ex4", "identity"])
+
+
+class TestWindowScansMatchTimeScans:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=scan_family,
+        eps=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+        n_max=st.integers(min_value=1, max_value=12),
+        pair_grid=st.integers(min_value=2, max_value=6),
+    )
+    def test_equicontinuity_modulus(self, name, eps, n_max, pair_grid):
+        fam = corpus(name).family
+        rep = equicontinuity_modulus(fam, eps, n_max, pair_grid)
+        deltas, witness = _reference_equicontinuity(fam, eps, n_max, pair_grid)
+        assert repr([d for _, d in rep.details["trend"]]) == repr(deltas)
+        got = None
+        if rep.witnesses:
+            (w,) = rep.witnesses
+            got = (*w.points, *w.times, *w.distances)
+        assert repr(got) == repr(witness)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=scan_family,
+        x=interior,
+        radii=st.sampled_from([(0.1, 0.01), (0.3,), (0.01, 0.001)]),
+        samples=st.integers(min_value=2, max_value=9),
+        n_max=st.integers(min_value=0, max_value=25),
+    )
+    def test_sensitivity_at_point(self, name, x, radii, samples, n_max):
+        fam = corpus(name).family
+        rep = sensitivity_at_point(fam, x, radii=radii, samples=samples, n_max=n_max)
+        hits = _reference_sensitivity(fam, x, radii, samples, n_max)
+        got = [(*w.points, *w.times, *w.distances) for w in rep.witnesses]
+        if hits[-1] is None:  # the unexpanded radius is reported without witnesses
+            assert rep.verdict is Verdict.EVIDENCE_AGAINST
+            assert rep.details["unexpanded_radius"] == radii[len(hits) - 1]
+            hits = []
+        assert repr(got) == repr(hits)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=scan_family, x=interior, eps=st.sampled_from([0.01, 0.1, 0.3]),
+           n_max=st.integers(min_value=1, max_value=25))
+    def test_return_time_set(self, name, x, eps, n_max):
+        fam = corpus(name).family
+        cache = FlowCache(fam)
+        times = [n for n in range(-n_max, n_max + 1)
+                 if metric(fam.space, cache.omega(n, x), x) < eps]
+        assert return_time_set(fam, x, eps, n_max).times == times
 
 
 def _reference_hull(family, x, order_k, depth, dedup_eps, cap):
