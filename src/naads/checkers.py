@@ -13,13 +13,12 @@ positive before negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, PreconditionError
 from .exact import exact_hull_displacements, exact_periodicity
 from .flow import FlowCache, MapFamily, block_family, hull_sample, omega
-from .report import PropertyReport, ReturnTimeSet, Verdict, Witness
+from .report import ProximalExtremes, PropertyReport, ReturnTimeSet, Verdict, Witness
 from .space import (
     Space,
     check_grid_size,
@@ -297,16 +296,6 @@ def equicontinuity_modulus(
         witnesses = [Witness("pair_orbit", (a, b), (n,), (d,))]
     verdict = Verdict.EVIDENCE_AGAINST if shrinking else Verdict.EVIDENCE_FOR
     return PropertyReport("equicontinuity", verdict, params, witnesses, details)
-
-
-@dataclass(frozen=True)
-class ProximalExtremes:
-    """Extremes of the pair distance d(omega_n(x), omega_n(y)) over a window."""
-
-    min_distance: float
-    argmin_time: int
-    max_distance: float
-    argmax_time: int
 
 
 def proximal_liminf(family: MapFamily, x, y, n_max: int) -> ProximalExtremes:

@@ -18,14 +18,21 @@ Scenario files are JSON objects::
 {"kind": "powers", "exponents": ["2", "1/2"]}.  Rational parameters are
 accepted as "p/q" strings so exact tasks never pass through floats.
 
+Each task is the checker of that name.  Its parameter names, required
+parameters and defaults are read from the checker's signature; the one
+public rename is ``N`` for ``n_max``.  A task accepts its checker's
+parameters and the ones its requested outputs read, and nothing else.
+
 Exit codes: 0 verdict matches (or no expectation), 1 expectation mismatch,
-2 inconclusive-at-budget / budget abort, 64 usage or schema errors.
+2 inconclusive-at-budget / budget abort, 64 usage or schema errors
+(including an unknown parameter key or command-line option).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from datetime import datetime, timezone
@@ -37,10 +44,8 @@ from .errors import BudgetError, NaadsError, SchemaError
 from .exact import RationalAngle, RationalRotationFamily
 from .flow import FlowCache, MapFamily
 from .maps import CircleRotation, PowerMap
-from .report import PropertyReport, ReturnTimeSet, Verdict, format_value
+from .report import PropertyReport, Verdict
 from .space import Space
-
-OUTPUT_KINDS = ("report", "orbit_csv", "return_raster", "modulus_curve")
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -109,73 +114,73 @@ def _radii(v):
     return (_pt(v),)
 
 
-def _g(params, key, default=None, required=False):
-    if key in params:
-        return params[key]
-    if required:
+def _g(params, key):
+    if key not in params:
         raise SchemaError(f"missing required parameter {key!r}")
-    return default
+    return params[key]
 
 
-# Each adapter maps a public parameter record onto one checker call.
-TASKS = {
-    "periodicity_check": lambda f, p: checkers.periodicity_check(
-        f, _pt(_g(p, "x", required=True)), _int(_g(p, "r", required=True)),
-        _int(_g(p, "horizon", 25)), _pt(_g(p, "tol", checkers.FLOW_TOL))),
-    "return_time_set": lambda f, p: checkers.return_time_set(
-        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "eps", required=True)),
-        _int(_g(p, "N", required=True))),
-    "almost_periodicity_report": lambda f, p: checkers.almost_periodicity_report(
-        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "eps", required=True)),
-        _int(_g(p, "N", required=True))),
-    "uniform_ap_report": lambda f, p: checkers.uniform_ap_report(
-        f, _pt(_g(p, "eps", required=True)), _int(_g(p, "N", required=True)),
-        _int(_g(p, "grid_size", 64))),
-    "equicontinuity_modulus": lambda f, p: checkers.equicontinuity_modulus(
-        f, _pt(_g(p, "eps", required=True)), _int(_g(p, "N", 50)),
-        _int(_g(p, "pair_grid", 17))),
-    "proximal_liminf": lambda f, p: checkers.proximal_liminf(
-        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "y", required=True)),
-        _int(_g(p, "N", required=True))),
-    "li_yorke_classify": lambda f, p: checkers.li_yorke_classify(
-        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "y", required=True)),
-        _int(_g(p, "N", required=True)),
-        _pt(_g(p, "low_tol", checkers.LI_YORKE_LOW_TOL)),
-        _pt(_g(p, "high_tol", checkers.LI_YORKE_HIGH_TOL))),
-    "sensitivity_at_point": lambda f, p: checkers.sensitivity_at_point(
-        f, _pt(_g(p, "x", required=True)),
-        None if _g(p, "delta") is None else _pt(p["delta"]),
-        _radii(_g(p, "radii", (0.1, 0.01))), _int(_g(p, "samples", 16)),
-        _int(_g(p, "N", 100))),
-    "orbit_density": lambda f, p: checkers.orbit_density(
-        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "eps", required=True)),
-        _int(_g(p, "N", required=True))),
-    "transitivity_scan": lambda f, p: checkers.transitivity_scan(
-        f, _pt(_g(p, "eps", required=True)), _int(_g(p, "N", required=True)),
-        _int(_g(p, "grid", 16))),
-    "r_transitivity_check": lambda f, p: checkers.r_transitivity_check(
-        f, _int(_g(p, "r", required=True)), _pt(_g(p, "eps", 0.05)),
-        _int(_g(p, "N", 120)), _int(_g(p, "grid", 16))),
-    "minimality_certificate": lambda f, p: checkers.minimality_certificate(
-        f, _rat(_g(p, "eps", required=True)), _int(_g(p, "order_cap", 6)),
-        _int(_g(p, "depth", 8)), _int(_g(p, "grid", 16))),
-    "hull_periodicity_property": lambda f, p: checkers.hull_periodicity_property(
-        f, _pt(_g(p, "x", required=True)), _int(_g(p, "r", required=True)),
-        _int(_g(p, "order_k", 8)), _int(_g(p, "depth", 6)),
-        _int(_g(p, "horizon", 25)), _pt(_g(p, "tol", checkers.FLOW_TOL))),
-    "ap_propagation_check": lambda f, p: checkers.ap_propagation_check(
-        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "eps", required=True)),
-        _int(_g(p, "N", 40)), _int(_g(p, "order_k", 4)), _int(_g(p, "depth", 3))),
-    "hull_closure_equality": lambda f, p: checkers.hull_closure_equality(
-        f, _pt(_g(p, "x", required=True)), _pt(_g(p, "eps", required=True)),
-        _int(_g(p, "N", 40)), _int(_g(p, "order_k", 4)), _int(_g(p, "depth", 3)),
-        None if _g(p, "y") is None else _pt(p["y"])),
-    "dichotomy_scan": lambda f, p: checkers.dichotomy_scan(
-        f, _pt(_g(p, "eps", required=True)),
-        None if _g(p, "delta") is None else _pt(p["delta"]),
-        _int(_g(p, "grid", 8)), _int(_g(p, "order_k", 3)),
-        _int(_g(p, "depth", 2)), _int(_g(p, "N", 50))),
+# Coercion of a public parameter value, by the checker parameter it feeds.
+_COERCE = {
+    **dict.fromkeys(("x", "y", "eps", "delta", "tol", "low_tol", "high_tol"), _pt),
+    **dict.fromkeys(("r", "n_max", "horizon", "grid", "grid_size", "pair_grid",
+                     "samples", "order_cap", "order_k", "depth"), _int),
+    "radii": _radii,
 }
+_PUBLIC_NAME = {"n_max": "N"}
+# minimality_certificate decides its cover in exact arithmetic
+_EXACT_PARAMS = {("minimality_certificate", "eps"): _rat}
+
+
+class _Task:
+    """Checker ``name`` called with a public parameter record.
+
+    Parameter names, required parameters and defaults are the checker's own:
+    its signature is read once, at import, and a parameter left out of the
+    record takes the checker's default.  The checker itself is looked up at
+    call time, so a wrapper put on ``checkers.<name>`` later is honoured.
+    """
+
+    def __init__(self, name):
+        self.name = name
+        _family, *args = inspect.signature(getattr(checkers, name)).parameters.values()
+        # public name -> (checker parameter, coercion, required)
+        self.spec = {
+            _PUBLIC_NAME.get(p.name, p.name): (
+                p.name,
+                _EXACT_PARAMS.get((name, p.name)) or _COERCE[p.name],
+                p.default is p.empty,
+            )
+            for p in args
+        }
+        self.params = tuple(self.spec)
+
+    def __call__(self, family, params):
+        kwargs = {
+            arg: coerce(_g(params, public))
+            for public, (arg, coerce, required) in self.spec.items()
+            if required or public in params
+        }
+        return getattr(checkers, self.name)(family, **kwargs)
+
+
+TASKS = {name: _Task(name) for name in (
+    "periodicity_check", "return_time_set", "almost_periodicity_report",
+    "uniform_ap_report", "equicontinuity_modulus", "proximal_liminf",
+    "li_yorke_classify", "sensitivity_at_point", "orbit_density",
+    "transitivity_scan", "r_transitivity_check", "minimality_certificate",
+    "hull_periodicity_property", "ap_propagation_check",
+    "hull_closure_equality", "dichotomy_scan",
+)}
+
+# The parameters each output kind reads beside the task's own.
+_OUTPUT_PARAMS = {
+    "report": (),
+    "orbit_csv": ("x", "N"),
+    "return_raster": TASKS["return_time_set"].params,
+    "modulus_curve": TASKS["equicontinuity_modulus"].params,
+}
+OUTPUT_KINDS = tuple(_OUTPUT_PARAMS)
 
 
 def _inline_family(spec: dict) -> MapFamily:
@@ -219,21 +224,8 @@ def _load_family(spec) -> MapFamily:
 
 def _render_result(result, family, task, timestamp):
     ts = datetime.now(timezone.utc).isoformat() if timestamp else None
-    if isinstance(result, (PropertyReport, ReturnTimeSet)):
-        header = f"family: {family.name}\ntask: {task}\n"
-        return header + result.render(timestamp=ts)
-    if isinstance(result, checkers.ProximalExtremes):
-        lines = ["schema: naads-proximal/1"]
-        if ts is not None:
-            lines.append(f"timestamp: {ts}")
-        lines.append(f"family: {family.name}")
-        lines.append(f"task: {task}")
-        lines.append(f"min_distance: {format_value(result.min_distance)}")
-        lines.append(f"argmin_time: {result.argmin_time}")
-        lines.append(f"max_distance: {format_value(result.max_distance)}")
-        lines.append(f"argmax_time: {result.argmax_time}")
-        return "\n".join(lines) + "\n"
-    raise TypeError(f"cannot render {type(result)!r}")
+    # str(): an inline spec's "name" may be any JSON value
+    return result.render(ts, head=(("family", str(family.name)), ("task", task)))
 
 
 def _task_result(name, task, result, family, params):
@@ -252,8 +244,7 @@ def _write_outputs(outputs, rendered, family, task, params, result):
                 fh.write(rendered)
             continue
         if kind == "orbit_csv":
-            x = _pt(_g(params, "x", required=True))
-            n = _int(_g(params, "N", required=True))
+            x, n = _pt(_g(params, "x")), _int(_g(params, "N"))
             window = FlowCache(family).window(x, n)
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -345,6 +336,11 @@ def _run_scenario_dict(scenario: dict, timestamp: bool) -> int:
     for out in outputs:
         if not isinstance(out, dict) or out.get("kind") not in OUTPUT_KINDS:
             raise SchemaError(f"bad output entry {out!r}")
+    known = set(TASKS[task].params).union(
+        *(_OUTPUT_PARAMS[out["kind"]] for out in outputs))
+    if not known.issuperset(params):
+        raise SchemaError(f"unknown parameters {sorted(set(params) - known)} "
+                          f"for {task}; known: {', '.join(sorted(known))}")
 
     family = _load_family(scenario["family"])
     result = TASKS[task](family, params)
@@ -376,14 +372,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="omit the timestamp field so reports are byte-reproducible",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="accepted and ignored: all sampling is a fixed low-discrepancy "
-        "scheme, and the seed is not written to the report",
-    )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario")
@@ -399,10 +388,10 @@ def main(argv=None) -> int:
     )
     p_check.add_argument("--expect", default=None)
 
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
     if args.command == "run":
         return run_scenario(args.scenario, timestamp=not args.no_timestamp)

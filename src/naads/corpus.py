@@ -273,7 +273,3 @@ def corpus(name: str) -> CorpusEntry:
             f"unknown corpus family {name!r}; known: {', '.join(CORPUS_NAMES)}"
         ) from None
     return builder()
-
-
-def corpus_names() -> tuple[str, ...]:
-    return CORPUS_NAMES

@@ -180,12 +180,3 @@ class Composite(Homeomorphism):
         for h in reversed(self.maps):
             x = h.inverse(x)
         return x
-
-
-def eval_map(h: Homeomorphism, x, direction: str = "forward"):
-    """Evaluate h(x) or h^{-1}(x); ``direction`` is "forward" or "inverse"."""
-    if direction == "forward":
-        return h.forward(x)
-    if direction == "inverse":
-        return h.inverse(x)
-    raise ValueError(f"unknown direction {direction!r}")

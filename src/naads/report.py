@@ -7,7 +7,7 @@ key: value blocks so identical runs produce byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -58,6 +58,24 @@ def format_value(v) -> str:
     return str(v)
 
 
+def render_record(schema: str, items, timestamp: str | None = None, head=()) -> str:
+    """The one writer of report lines: ``key: value``, values by format_value.
+
+    ``head`` pairs come first, then the schema line and the timestamp (when
+    given), then the ordered ``(key, value)`` pairs of ``items``.
+    """
+    pairs = [*head, ("schema", schema)]
+    if timestamp is not None:
+        pairs.append(("timestamp", timestamp))
+    pairs.extend(items)
+    return "".join(f"{key}: {format_value(value)}\n" for key, value in pairs)
+
+
+def _field_pairs(record):
+    """A dataclass record's fields as ordered ``(name, value)`` pairs."""
+    return [(f.name, getattr(record, f.name)) for f in fields(record)]
+
+
 @dataclass
 class PropertyReport:
     property: str
@@ -66,24 +84,23 @@ class PropertyReport:
     witnesses: list[Witness] = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def render(self, timestamp: str | None = None) -> str:
-        lines = ["schema: naads-report/1"]
-        if timestamp is not None:
-            lines.append(f"timestamp: {timestamp}")
-        lines.append(f"property: {self.property}")
-        lines.append(f"verdict: {self.verdict.value}")
+    def _fields(self):
+        yield "property", self.property
+        yield "verdict", self.verdict
         for key in sorted(self.parameters):
-            lines.append(f"param.{key}: {format_value(self.parameters[key])}")
+            yield f"param.{key}", self.parameters[key]
         for key in sorted(self.details):
-            lines.append(f"detail.{key}: {format_value(self.details[key])}")
+            yield f"detail.{key}", self.details[key]
         for i, w in enumerate(self.witnesses, start=1):
-            lines.append(f"witness.{i}.kind: {w.kind}")
-            lines.append(f"witness.{i}.points: {format_value(w.points)}")
-            lines.append(f"witness.{i}.times: {format_value(w.times)}")
-            lines.append(f"witness.{i}.distances: {format_value(w.distances)}")
+            yield f"witness.{i}.kind", w.kind
+            yield f"witness.{i}.points", w.points
+            yield f"witness.{i}.times", w.times
+            yield f"witness.{i}.distances", w.distances
             if w.note:
-                lines.append(f"witness.{i}.note: {w.note}")
-        return "\n".join(lines) + "\n"
+                yield f"witness.{i}.note", w.note
+
+    def render(self, timestamp: str | None = None, head=()) -> str:
+        return render_record("naads-report/1", self._fields(), timestamp, head)
 
 
 @dataclass
@@ -103,15 +120,23 @@ class ReturnTimeSet:
     censored_left_gap: int
     censored_right_gap: int
 
-    def render(self, timestamp: str | None = None) -> str:
-        lines = ["schema: naads-return-times/1"]
-        if timestamp is not None:
-            lines.append(f"timestamp: {timestamp}")
-        lines.append(f"base: {format_value(self.base)}")
-        lines.append(f"eps: {format_value(self.eps)}")
-        lines.append(f"window_n: {self.window_n}")
-        lines.append(f"times: {format_value(self.times)}")
-        lines.append(f"max_internal_gap: {self.max_internal_gap}")
-        lines.append(f"censored_left_gap: {self.censored_left_gap}")
-        lines.append(f"censored_right_gap: {self.censored_right_gap}")
-        return "\n".join(lines) + "\n"
+    def render(self, timestamp: str | None = None, head=()) -> str:
+        return render_record(
+            "naads-return-times/1", _field_pairs(self), timestamp, head
+        )
+
+
+@dataclass(frozen=True)
+class ProximalExtremes:
+    """Extremes of the pair distance d(omega_n(x), omega_n(y)) over a window."""
+
+    min_distance: float
+    argmin_time: int
+    max_distance: float
+    argmax_time: int
+
+    def render(self, timestamp: str | None = None, head=()) -> str:
+        # this schema puts ``head`` after the schema and timestamp lines
+        return render_record(
+            "naads-proximal/1", [*head, *_field_pairs(self)], timestamp
+        )

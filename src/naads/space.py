@@ -12,7 +12,7 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError
 
 # Slack accepted at space boundaries before a point is rejected; floating
 # round-off from map evaluation must not trip the domain check.
@@ -33,32 +33,6 @@ def check_grid_size(count: int) -> int:
 class Space(Enum):
     UNIT_INTERVAL = "unit_interval"
     CIRCLE = "circle"
-
-
-def contains(space: Space, x) -> bool:
-    if space is Space.UNIT_INTERVAL:
-        return 0 <= x <= 1
-    return 0 <= x < 1
-
-
-def normalize(space: Space, x):
-    """Validate ``x`` against ``space``, absorbing round-off at the boundary.
-
-    Interval points are clamped into [0, 1]; circle points are wrapped mod 1.
-    Points further than BOUNDARY_TOL outside raise DomainError.
-    """
-    if space is Space.UNIT_INTERVAL:
-        if x < -BOUNDARY_TOL or x > 1 + BOUNDARY_TOL:
-            raise DomainError(f"point {x!r} outside the unit interval")
-        if 0 <= x <= 1:
-            return x
-        return 0.0 if x < 0 else 1.0
-    # circle
-    if -BOUNDARY_TOL <= x < 1 + BOUNDARY_TOL:
-        if 0 <= x < 1:
-            return x
-        return x % 1 if isinstance(x, Fraction) else x % 1.0
-    raise DomainError(f"point {x!r} outside [0, 1) circle coordinates")
 
 
 def wrap_circle(x):

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -233,12 +234,46 @@ class TestCheckAndCorpus:
     def test_no_command(self):
         assert main([]) == EXIT_USAGE
 
-    def test_seed_flag_accepted(self):
+    def test_seed_flag_is_usage_error(self):
         code = main([
             "--no-timestamp", "--seed", "7", "check", "circle_harmonic",
             "periodicity_check", "--param", "x=0.1", "--param", "r=2",
         ])
-        assert code == EXIT_OK
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "circle_ex4"],
+        ["corpus", "bogus"],
+        ["--bogus", "run", "x.json"],
+    ])
+    def test_argparse_usage_error_exits_64(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert "usage: naads" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "usage: naads" in capsys.readouterr().out
+
+    def test_unknown_param_key(self, capsys):
+        code = main([
+            "--no-timestamp", "check", "circle_harmonic", "periodicity_check",
+            "--param", "x=0.3", "--param", "r=2", "--param", "horzon=5000",
+        ])
+        assert code == EXIT_USAGE
+        assert "horzon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("outputs, code", [
+        ([], EXIT_USAGE),
+        ([{"kind": "orbit_csv", "path": "o.csv"}], EXIT_OK),
+    ])
+    def test_params_read_by_outputs_accepted(self, tmp_path, monkeypatch, outputs, code):
+        # orbit_csv reads N, which periodicity_check does not take
+        monkeypatch.chdir(tmp_path)
+        path = _scenario(tmp_path, {
+            "family": "circle_harmonic", "task": "periodicity_check",
+            "params": {"x": 0.3, "r": 2, "N": 3}, "outputs": outputs,
+        })
+        assert main(["--no-timestamp", "run", path]) == code
 
 
 class TestBadInputExits64:
@@ -317,7 +352,7 @@ class TestHostileParameters:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-# The parameters each task reads; every other key is ignored by the task.
+# The parameters each task accepts: its checker's, with N for n_max.
 _TASK_PARAMS = {
     "periodicity_check": ("x", "r", "horizon", "tol"),
     "return_time_set": ("x", "eps", "N"),
@@ -362,23 +397,33 @@ def _check_argv(draw):
     expect = draw(st.sampled_from((None, "EvidenceFor", "Refuted")))
     if expect is not None:
         argv += ["--expect", expect]
-    return argv, expect
+    unknown = draw(st.sampled_from((None, "horzon", "n_max", "seed", "X")))
+    if unknown is not None:
+        argv += ["--param", f"{unknown}=1"]
+    return argv, expect, unknown
 
 
 def test_task_params_cover_the_task_table():
     assert set(_TASK_PARAMS) == set(TASKS)
 
 
+@pytest.mark.parametrize("task", sorted(_TASK_PARAMS))
+def test_task_params_come_from_the_checker_signature(task):
+    assert TASKS[task].params == _TASK_PARAMS[task]
+
+
 @settings(max_examples=100, deadline=None)
 @given(job=_check_argv())
 def test_check_fuzz_exit_codes(job):
-    argv, expect = job
+    argv, expect, unknown = job
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)  # an exception here would reach the user as a traceback
     allowed = {EXIT_OK, EXIT_INCONCLUSIVE, EXIT_USAGE}
     if expect is not None:
         allowed.add(EXIT_MISMATCH)
+    if unknown is not None:
+        allowed = {EXIT_USAGE}
     assert code in allowed, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
@@ -399,3 +444,88 @@ class TestDeterminism:
             assert main(["--no-timestamp", "run", path]) == EXIT_OK
             outputs.append(out_file.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# Golden report bytes, one job per result kind.  "{ts}" marks the line that
+# only a timestamped report has; its value is masked before comparing.
+_GOLDEN = {
+    ("circle_settling", "periodicity_check", ("x=0.3", "r=2")): """\
+family: circle_settling
+task: periodicity_check
+schema: naads-report/1
+{ts}property: periodicity
+verdict: Refuted
+param.family: circle_settling
+param.horizon: 25
+param.r: 2
+param.tol: 1e-09
+param.x: 0.3
+detail.mode: exact
+detail.witness_displacement: 1/4
+witness.1.kind: point_return
+witness.1.points: [0.3]
+witness.1.times: [2]
+witness.1.distances: [0.25000000000000006]
+""",
+    ("example1_tent_sqrt", "sensitivity_at_point", ("x=0", "N=20", "samples=4")): """\
+family: example1_tent_sqrt
+task: sensitivity_at_point
+schema: naads-report/1
+{ts}property: sensitivity_at_point
+verdict: EvidenceFor
+param.N: 20
+param.delta: 0.25
+param.family: example1_tent_sqrt
+param.radii: [0.1, 0.01]
+param.samples: 4
+param.x: 0.0
+witness.1.kind: pair_orbit
+witness.1.points: [0.0, 0.1]
+witness.1.times: [3]
+witness.1.distances: [0.3354101966249684]
+witness.1.note: radius=0.1
+witness.2.kind: pair_orbit
+witness.2.points: [0.0, 0.01]
+witness.2.times: [10]
+witness.2.distances: [0.2575102137227089]
+witness.2.note: radius=0.01
+""",
+    ("circle_settling", "return_time_set", ("x=0", "eps=0.3", "N=8")): """\
+family: circle_settling
+task: return_time_set
+schema: naads-return-times/1
+{ts}base: 0.0
+eps: 0.3
+window_n: 8
+times: [-3, -2, 0, 2, 3]
+max_internal_gap: 2
+censored_left_gap: 5
+censored_right_gap: 5
+""",
+    # the one layout with family and task after the schema line
+    ("example2_powers", "proximal_liminf", ("x=0.1", "y=0.6", "N=6")): """\
+schema: naads-proximal/1
+{ts}family: example2_powers
+task: proximal_liminf
+min_distance: 0.04665499999999999
+argmin_time: 5
+max_distance: 0.5000000000000001
+argmax_time: -2
+""",
+}
+
+
+@pytest.mark.parametrize("timestamp", [False, True])
+@pytest.mark.parametrize("job", list(_GOLDEN), ids=lambda job: job[1])
+def test_golden_report_bytes(capsys, job, timestamp):
+    family, task, params = job
+    argv = [] if timestamp else ["--no-timestamp"]
+    argv += ["check", family, task]
+    for item in params:
+        argv += ["--param", item]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    if timestamp:
+        out, masked = re.subn(r"(?m)^timestamp: \S+\n", "{ts}", out)
+        assert masked == 1
+    assert out == (_GOLDEN[job] if timestamp else _GOLDEN[job].replace("{ts}", ""))

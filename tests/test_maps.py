@@ -14,31 +14,15 @@ from naads import (
     PowerMap,
     Reflection,
     Space,
-    contains,
     diameter,
-    eval_map,
     metric,
     net_centers,
-    normalize,
     uniform_grid,
     wrap_circle,
 )
 
 
 class TestSpace:
-    def test_contains(self):
-        assert contains(Space.UNIT_INTERVAL, 0) and contains(Space.UNIT_INTERVAL, 1)
-        assert contains(Space.CIRCLE, 0) and not contains(Space.CIRCLE, 1)
-
-    def test_normalize_clamps_roundoff(self):
-        assert normalize(Space.UNIT_INTERVAL, 1 + 1e-12) == 1.0
-        assert normalize(Space.UNIT_INTERVAL, -1e-12) == 0.0
-        assert normalize(Space.CIRCLE, -1e-12) == pytest.approx(1 - 1e-12)
-        with pytest.raises(DomainError):
-            normalize(Space.UNIT_INTERVAL, 1.1)
-        with pytest.raises(DomainError):
-            normalize(Space.CIRCLE, 2.0)
-
     def test_wrap_circle(self):
         assert wrap_circle(1.25) == 0.25
         assert wrap_circle(-0.25) == 0.75
@@ -164,10 +148,3 @@ class TestReflectionComposite:
     def test_composite_needs_maps(self):
         with pytest.raises(ConstructionError):
             Composite([])
-
-    def test_eval_map(self):
-        h = PowerMap(2)
-        assert eval_map(h, 0.5) == 0.25
-        assert eval_map(h, 0.25, "inverse") == 0.5
-        with pytest.raises(ValueError):
-            eval_map(h, 0.5, "sideways")
