@@ -13,6 +13,8 @@ positive before negative.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import BudgetError, PreconditionError
@@ -23,10 +25,10 @@ from .space import (
     Space,
     check_grid_size,
     diameter,
-    exact_net_centers,
     metric,
     nearest_distance,
     net_centers,
+    net_size,
     spread_exceeds,
     uniform_grid,
 )
@@ -570,6 +572,29 @@ def _hull_meets_all(space, points, centers, eps):
     return None
 
 
+def _exact_cover_miss(hull, grid: int, m: int, eps):
+    """First (grid point, center, distance) whose eps-ball an exact hull misses.
+
+    On Q/Z d(c, x + a) = d(c - x, a), so each grid point x = j/grid queries the
+    one sorted set at (c - x) mod 1, in integers over L = lcm(D, grid, m).
+    """
+    if not m:  # eps = inf leaves no center to miss
+        return None
+    L = math.lcm(hull.denominator, grid, m)
+    pts = [n * (L // hull.denominator) for n in hull.numerators]
+    e = Fraction(eps)
+    for j in range(grid):
+        for i in range(m):
+            q = (i * (L // m) - j * (L // grid)) % L
+            k = bisect_left(pts, q)
+            dmin = L  # over nearest_distance's candidates: the neighbours and both ends
+            for p in (*pts[max(k - 1, 0):k + 1], pts[0], pts[-1]):
+                dmin = min(dmin, abs(q - p), L - abs(q - p))
+            if dmin * e.denominator >= e.numerator * L:
+                return Fraction(j, grid), Fraction(i, m), Fraction(dmin, L)
+    return None
+
+
 def minimality_certificate(
     family: MapFamily,
     eps,
@@ -596,17 +621,11 @@ def minimality_certificate(
     }
 
     if family.exact is not None and family.space is Space.CIRCLE:
-        centers = exact_net_centers(Space.CIRCLE, eps)
-        grid_x = [Fraction(j, grid) for j in range(check_grid_size(grid))]
+        m = net_size(eps)
+        check_grid_size(grid)
         for k in range(1, order_cap + 1):
             hull = exact_hull_displacements(family.exact, k, depth)
-            miss = None
-            for x in grid_x:
-                found = _hull_meets_all(
-                    Space.CIRCLE, [(x + a.value) % 1 for a in hull.angles], centers, eps)
-                if found is not None:
-                    miss = (x, *found)
-                    break
+            miss = _exact_cover_miss(hull, grid, m, eps)
             if miss is None:
                 return PropertyReport(
                     "minimality",
@@ -615,7 +634,7 @@ def minimality_certificate(
                     details={
                         "k": k,
                         "mode": "exact",
-                        "hull_size": len(hull.angles),
+                        "hull_size": len(hull.numerators),
                         "budget_exhausted": hull.budget_exhausted,
                     },
                 )
@@ -625,23 +644,12 @@ def minimality_certificate(
                 "minimality",
                 Verdict.REFUTED,
                 params,
-                witnesses=[
-                    Witness(
-                        "hull_miss",
-                        (float(x), float(c)),
-                        (),
-                        (float(dmin),),
-                        note=f"order_k={order_cap}",
-                    )
-                ],
+                witnesses=[Witness("hull_miss", (float(x), float(c)), (), (float(dmin),),
+                                   note=f"order_k={order_cap}")],
                 details={"mode": "exact"},
             )
         return PropertyReport(
-            "minimality",
-            Verdict.INCONCLUSIVE_BUDGET,
-            params,
-            details={"mode": "exact"},
-        )
+            "minimality", Verdict.INCONCLUSIVE_BUDGET, params, details={"mode": "exact"})
 
     space = family.space
     centers = net_centers(space, eps)

@@ -56,6 +56,8 @@ EXIT_USAGE = 64
 def _parse_value(text):
     if isinstance(text, (int, float, bool)):
         return text
+    if isinstance(text, list):  # a JSON list, element by element
+        return [_parse_value(e) for e in text]
     s = str(text).strip()
     if s.lower() in ("true", "false"):
         return s.lower() == "true"
@@ -186,6 +188,8 @@ OUTPUT_KINDS = tuple(_OUTPUT_PARAMS)
 def _inline_family(spec: dict) -> MapFamily:
     kind = spec.get("kind")
     name = spec.get("name", f"inline_{kind}")
+    if not isinstance(name, str):
+        raise SchemaError(f"inline family 'name' must be a string, got {name!r}")
     if kind == "rotations":
         angles = [Fraction(a) for a in spec.get("angles", [])]
         if not angles:
@@ -224,8 +228,7 @@ def _load_family(spec) -> MapFamily:
 
 def _render_result(result, family, task, timestamp):
     ts = datetime.now(timezone.utc).isoformat() if timestamp else None
-    # str(): an inline spec's "name" may be any JSON value
-    return result.render(ts, head=(("family", str(family.name)), ("task", task)))
+    return result.render(ts, head=(("family", family.name), ("task", task)))
 
 
 def _task_result(name, task, result, family, params):

@@ -5,13 +5,16 @@ two-sided flow are exact prefix sums, so periodicity and hull density can be
 decided (within a finite horizon) instead of merely evidenced.  Angles are in
 turns; arbitrary-precision numerators and denominators come from
 fractions.Fraction, with a denominator-bit budget guarding pathological
-requests.
+requests.  Sums of reduced angles fold back into [0, 1) by one add or
+subtract of 1; hulls are enumerated on integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -24,17 +27,22 @@ DENOMINATOR_BIT_BUDGET = 1 << 14
 ZERO = None  # assigned after RationalAngle is defined
 
 
+def _check_denominator(den: int) -> None:
+    if den.bit_length() > DENOMINATOR_BIT_BUDGET:
+        raise BudgetError(f"denominator exceeds {DENOMINATOR_BIT_BUDGET} bits")
+
+
 class RationalAngle:
     """An exact circle point or displacement: a rational in [0, 1) turns."""
 
     __slots__ = ("value",)
 
     def __init__(self, value):
-        v = Fraction(value) % 1
-        if v.denominator.bit_length() > DENOMINATOR_BIT_BUDGET:
-            raise BudgetError(
-                f"denominator exceeds {DENOMINATOR_BIT_BUDGET} bits"
-            )
+        if type(value) is Fraction and 0 <= value.numerator < value.denominator:
+            v = value
+        else:
+            v = Fraction(value) % 1
+        _check_denominator(v.denominator)
         object.__setattr__(self, "value", v)
 
     def __setattr__(self, name, value):
@@ -45,13 +53,16 @@ class RationalAngle:
         return cls(Fraction(text))
 
     def __add__(self, other):
-        return RationalAngle(self.value + other.value)
+        s = self.value + other.value  # in [0, 2)
+        return RationalAngle(s - 1 if s.numerator >= s.denominator else s)
 
     def __sub__(self, other):
-        return RationalAngle(self.value - other.value)
+        s = self.value - other.value  # in (-1, 1)
+        return RationalAngle(s + 1 if s.numerator < 0 else s)
 
     def __neg__(self):
-        return RationalAngle(-self.value)
+        v = self.value
+        return RationalAngle(1 - v if v else v)
 
     def __eq__(self, other):
         return isinstance(other, RationalAngle) and self.value == other.value
@@ -168,16 +179,22 @@ def exact_periodicity(
 
 @dataclass(frozen=True)
 class HullDisplacements:
-    """Exact displacement set of a truncated hull, with budget metadata."""
+    """Exact displacement set of a truncated hull, with budget metadata.
 
-    angles: tuple[RationalAngle, ...]  # sorted ascending
+    The set is ``numerators`` (ascending) over ``denominator``; ``angles``, the
+    same set as RationalAngles, is built on first use.
+    """
+
+    numerators: tuple[int, ...]
+    denominator: int
     order_k: int
     depth: int
     budget_exhausted: bool
     stabilized: bool
 
-    def as_set(self) -> frozenset[RationalAngle]:
-        return frozenset(self.angles)
+    @cached_property
+    def angles(self) -> tuple[RationalAngle, ...]:
+        return tuple(RationalAngle(Fraction(n, self.denominator)) for n in self.numerators)
 
 
 def points_budget(requested: int | None, default: int) -> int:
@@ -202,20 +219,28 @@ def exact_hull_displacements(
     For a rotation family the order-k hull of x is exactly x plus this set.
     The set is exact (no dedup tolerance); growth is capped by ``max_size``
     (further capped by NAADS_BUDGET_POINTS), reported via budget_exhausted.
+    Sums run on numerators over D, the lcm of the generators' denominators,
+    in the angles' own order; a sum's reduced denominator divides D, so only a
+    D over the bit budget needs each sum checked, as its angle would be.
     """
     if order_k < 1 or depth < 1:
         raise ValueError("order_k and depth must be >= 1")
     cap = points_budget(max_size, 65536)
-    generators = {fam.displacement(r) for r in range(-order_k, order_k + 1)}
-    current: set[RationalAngle] = {ZERO}
-    frontier: set[RationalAngle] = {ZERO}
-    exhausted = False
-    stabilized = False
+    gens = {fam.displacement(r).value for r in range(-order_k, order_k + 1)}
+    D = math.lcm(*(g.denominator for g in gens))
+    generators = sorted(g.numerator * (D // g.denominator) for g in gens)
+    check_budget = D.bit_length() > DENOMINATOR_BIT_BUDGET
+    current, frontier = {0}, {0}
+    exhausted = stabilized = False
     for _ in range(depth):
-        new: set[RationalAngle] = set()
+        new = set()
         for a in sorted(frontier):
-            for g in sorted(generators):
+            for g in generators:
                 s = a + g
+                if s >= D:
+                    s -= D
+                if check_budget:
+                    _check_denominator(D // math.gcd(s, D))
                 if s not in current and s not in new:
                     if len(current) + len(new) >= cap:
                         exhausted = True
@@ -232,7 +257,8 @@ def exact_hull_displacements(
         current |= new
         frontier = new
     return HullDisplacements(
-        angles=tuple(sorted(current)),
+        numerators=tuple(sorted(current)),
+        denominator=D,
         order_k=order_k,
         depth=depth,
         budget_exhausted=exhausted,

@@ -125,7 +125,7 @@ class CircleRotation(Homeomorphism):
     """
 
     def __init__(self, angle):
-        if type(angle) is Fraction and 0 <= angle < 1:
+        if type(angle) is Fraction and 0 <= angle.numerator < angle.denominator:
             self.angle = angle
         elif isinstance(angle, (int, str, Fraction)):
             self.angle = Fraction(angle) % 1

@@ -107,19 +107,16 @@ def uniform_grid(space: Space, count: int) -> list[float]:
     return [i / (count - 1) for i in range(count)]
 
 
+def net_size(eps) -> int:
+    """m = ceil(1/eps): the centers i/m of the eps-net, exact for a Fraction eps."""
+    return check_grid_size(math.ceil(1 / eps))
+
+
 def net_centers(space: Space, eps) -> list[float]:
     """Centers of a ceil(1/eps)-uniform net covering the space."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    m = check_grid_size(math.ceil(1 / eps))
+    m = net_size(eps)
     if space is Space.CIRCLE:
         return [i / m for i in range(m)]
     return [i / m for i in range(m + 1)]
-
-
-def exact_net_centers(space: Space, eps) -> list[Fraction]:
-    """Rational version of net_centers, for certificate-grade checks."""
-    m = check_grid_size(math.ceil(1 / eps))
-    if space is Space.CIRCLE:
-        return [Fraction(i, m) for i in range(m)]
-    return [Fraction(i, m) for i in range(m + 1)]

@@ -139,6 +139,14 @@ class TestRun:
         })
         assert main(["--no-timestamp", "run", path]) == EXIT_OK
 
+    def test_json_list_for_tuple_parameter(self, tmp_path, capsys):
+        path = _scenario(tmp_path, {
+            "family": "identity", "task": "sensitivity_at_point",
+            "params": {"x": 0.3, "radii": [0.1, "1/100"], "N": 5},
+        })
+        assert main(["--no-timestamp", "run", path]) == EXIT_OK
+        assert "param.radii: [0.1, 0.01]\n" in capsys.readouterr().out
+
     def test_budget_abort_exit_code(self, tmp_path):
         # block size pushes the blocked horizon below the scan window
         path = _scenario(tmp_path, {
@@ -196,6 +204,30 @@ class TestSchemaErrors:
             "params": {"x": 0, "eps": 0.1, "N": 5}, "expect": "Certified",
         })
         assert main(["run", path]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("params", [
+        {"x": [0.3], "N": 5},
+        {"x": 0.3, "N": [5]},
+        {"x": 0.3, "radii": [[0.1]], "N": 5},
+        {"x": 0.3, "radii": [0.1, "abc"], "N": 5},
+    ])
+    def test_bad_json_list_is_usage_error(self, tmp_path, capsys, params):
+        path = _scenario(tmp_path, {
+            "family": "identity", "task": "sensitivity_at_point", "params": params,
+        })
+        assert main(["run", path]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [True, 7, None, ["a"], {"a": 1}])
+    def test_inline_family_name_must_be_a_string(self, tmp_path, capsys, name):
+        path = _scenario(tmp_path, {
+            "family": {"kind": "rotations", "angles": ["1/2"], "name": name},
+            "task": "periodicity_check", "params": {"x": 0.2, "r": 2},
+        })
+        assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'name' must be a string" in captured.err
 
     def test_unknown_expected_verdict(self, tmp_path):
         path = _scenario(tmp_path, {
@@ -529,3 +561,67 @@ def test_golden_report_bytes(capsys, job, timestamp):
         out, masked = re.subn(r"(?m)^timestamp: \S+\n", "{ts}", out)
         assert masked == 1
     assert out == (_GOLDEN[job] if timestamp else _GOLDEN[job].replace("{ts}", ""))
+
+
+# Golden bytes of the exact minimality cover test on inline rotations.  The
+# Refuted case misses a center at distance exactly eps, so the miss test must
+# be ">=": a ">" would certify.  The benchmark digests cover only Certified.
+_GOLDEN_EXACT_MINIMALITY = {
+    "refuted_at_eps": (
+        {"angles": ["1/4"], "params": {"eps": "1/16", "order_cap": 2, "depth": 4}},
+        EXIT_OK,
+        """\
+family: inline_rotations
+task: minimality_certificate
+schema: naads-report/1
+{ts}property: minimality
+verdict: Refuted
+param.depth: 4
+param.eps: 1/16
+param.family: inline_rotations
+param.grid: 16
+param.order_cap: 2
+detail.mode: exact
+witness.1.kind: hull_miss
+witness.1.points: [0.0, 0.0625]
+witness.1.times: []
+witness.1.distances: [0.0625]
+witness.1.note: order_k=2
+""",
+    ),
+    "inconclusive_float_eps": (
+        {"angles": ["1/97", "3/101"], "params": {"eps": 0.01, "order_cap": 2, "depth": 2}},
+        EXIT_INCONCLUSIVE,
+        """\
+family: inline_rotations
+task: minimality_certificate
+schema: naads-report/1
+{ts}property: minimality
+verdict: InconclusiveBudget
+param.depth: 2
+param.eps: 0.01
+param.family: inline_rotations
+param.grid: 16
+param.order_cap: 2
+detail.mode: exact
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("timestamp", [False, True])
+@pytest.mark.parametrize("case", list(_GOLDEN_EXACT_MINIMALITY))
+def test_golden_exact_minimality_bytes(tmp_path, capsys, case, timestamp):
+    spec, code, golden = _GOLDEN_EXACT_MINIMALITY[case]
+    path = _scenario(tmp_path, {
+        "family": {"kind": "rotations", "angles": spec["angles"]},
+        "task": "minimality_certificate",
+        "params": spec["params"],
+    })
+    argv = [] if timestamp else ["--no-timestamp"]
+    assert main(argv + ["run", path]) == code
+    out = capsys.readouterr().out
+    if timestamp:
+        out, masked = re.subn(r"(?m)^timestamp: \S+\n", "{ts}", out)
+        assert masked == 1
+    assert out == (golden if timestamp else golden.replace("{ts}", ""))

@@ -1,0 +1,265 @@
+"""The integer exact kernel against reference copies of the Fraction code it replaced.
+
+Each reference below is the earlier implementation written out in plain
+Fraction arithmetic: angles re-reduced with ``% 1`` on every operation, hull
+enumeration over sets of reduced angles, and the cover test that sorts a
+translated hull per grid point and scans it with the circle metric.
+"""
+
+import math
+import os
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from naads import (
+    BudgetError,
+    CircleRotation,
+    MapFamily,
+    RationalAngle,
+    RationalRotationFamily,
+    Space,
+    Verdict,
+    exact_hull_displacements,
+    minimality_certificate,
+)
+from naads.exact import DENOMINATOR_BIT_BUDGET
+from naads.space import metric
+
+# Denominators with 16384 bits (inside the budget) and 16385 bits (over it);
+# P and Q share only the factor 3, so a sum of 1/P and 1/Q is over the budget.
+P = (1 << DENOMINATOR_BIT_BUDGET) - 1
+Q = (1 << (DENOMINATOR_BIT_BUDGET - 1)) + 1
+OVER = (1 << DENOMINATOR_BIT_BUDGET) + 1
+
+
+def _reference_value(value):
+    """RationalAngle's value as the earlier constructor computed it."""
+    v = Fraction(value) % 1
+    if v.denominator.bit_length() > DENOMINATOR_BIT_BUDGET:
+        raise BudgetError(f"denominator exceeds {DENOMINATOR_BIT_BUDGET} bits")
+    return v
+
+
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except BudgetError as exc:
+        return BudgetError, str(exc)
+    return type(v), v
+
+
+def _angle_value(value):
+    return RationalAngle(value).value
+
+
+# Big denominators are named, and built inside the test, so that no example
+# holds an integer too long to print.
+BIG = {"2^20": 1 << 20, "P": P, "Q": Q, "OVER": OVER}
+
+# (kind, turns, offset, denominator): the value (turns * den + offset) / den
+angle_spec = st.tuples(
+    st.sampled_from(["fraction", "int", "str"]),
+    st.integers(min_value=-3, max_value=3),
+    st.one_of(st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=-(1 << 64), max_value=1 << 64)),
+    st.one_of(st.integers(min_value=1, max_value=60), st.sampled_from(list(BIG))),
+)
+
+
+def _value(spec):
+    kind, turns, offset, den = spec
+    den = BIG.get(den, den)
+    num = turns * den + offset
+    if kind == "int":
+        return num
+    if kind == "str" and den < 1 << 20:
+        return f"{num}/{den}"
+    return Fraction(num, den)
+
+
+class TestRationalAngleArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=angle_spec)
+    @example(spec=("fraction", 1, -1, "P"))  # just below one turn, inside the budget
+    @example(spec=("fraction", 0, 1, "OVER"))  # over the budget
+    @example(spec=("fraction", -1, 1, "OVER"))  # negative, over the budget
+    def test_construction(self, spec):
+        v = _value(spec)
+        assert _outcome(_angle_value, v) == _outcome(_reference_value, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=angle_spec, b=angle_spec)
+    @example(a=("fraction", 0, 1, "P"), b=("fraction", 0, 1, "Q"))  # sum over the budget
+    @example(a=("fraction", 1, -1, "P"), b=("fraction", 0, 1, "P"))  # exactly one turn
+    @example(a=("int", 0, 0, 1), b=("int", 0, 0, 1))
+    def test_sum_difference_and_negation(self, a, b):
+        try:
+            x, y = RationalAngle(_value(a)), RationalAngle(_value(b))
+        except BudgetError:
+            return  # construction is compared on its own above
+        ra, rb = x.value, y.value
+        assert _outcome(lambda: (x + y).value) == _outcome(_reference_value, ra + rb)
+        assert _outcome(lambda: (x - y).value) == _outcome(_reference_value, ra - rb)
+        assert (-x).value == _reference_value(-ra)
+
+    def test_reduced_fraction_is_kept(self):
+        v = Fraction(3, 7)
+        assert RationalAngle(v).value is v
+        assert CircleRotation(v).angle is v
+
+
+def _reference_hull(fam, order_k, depth, cap):
+    """exact_hull_displacements as the earlier breadth-first search over reduced angles."""
+    generators = {_reference_value(fam.displacement(r).value)
+                  for r in range(-order_k, order_k + 1)}
+    current, frontier = {Fraction(0)}, {Fraction(0)}
+    exhausted = stabilized = False
+    for _ in range(depth):
+        new = set()
+        for a in sorted(frontier):
+            for g in sorted(generators):
+                s = _reference_value(a + g)
+                if s not in current and s not in new:
+                    if len(current) + len(new) >= cap:
+                        exhausted = True
+                        break
+                    new.add(s)
+            if exhausted:
+                break
+        if exhausted:
+            current |= new
+            break
+        if not new:
+            stabilized = True
+            break
+        current |= new
+        frontier = new
+    return sorted(current), exhausted, stabilized
+
+
+def _reference_cover_miss(points, grid, eps):
+    """The earlier cover test: translate, sort and scan the hull per grid point."""
+    m = math.ceil(1 / eps)
+    centers = [Fraction(i, m) for i in range(m)]
+    for x in [Fraction(j, grid) for j in range(grid)]:
+        translated = sorted((x + a) % 1 for a in points)
+        for c in centers:
+            dmin = min(metric(Space.CIRCLE, c, p) for p in translated)
+            if dmin >= eps:
+                return x, c, dmin
+    return None
+
+
+def _reference_minimality(fam, eps, order_cap, depth, grid, cap):
+    """(verdict, k, hull size, witness) of the earlier exact minimality certificate."""
+    for k in range(1, order_cap + 1):
+        points, exhausted, stabilized = _reference_hull(fam, k, depth, cap)
+        miss = _reference_cover_miss(points, grid, eps)
+        if miss is None:
+            return Verdict.CERTIFIED, k, len(points), None
+    if stabilized and not exhausted:
+        return Verdict.REFUTED, None, None, tuple(float(v) for v in miss)
+    return Verdict.INCONCLUSIVE_BUDGET, None, None, None
+
+
+def _cycle(angles):
+    def rule(n):
+        return RationalAngle(angles[(n - 1) % len(angles)])
+    return RationalRotationFamily(rule, "cycle")
+
+
+@contextmanager
+def _points_env(value):
+    env = {} if value is None else {"NAADS_BUDGET_POINTS": value}
+    with mock.patch.dict(os.environ, env):
+        if value is None:
+            os.environ.pop("NAADS_BUDGET_POINTS", None)
+        yield
+
+
+cycle_angles = st.lists(
+    st.fractions(min_value=-1, max_value=1, max_denominator=30), min_size=1, max_size=3)
+points_env = st.sampled_from([None, "1", "4", "25"])
+
+
+class TestHullEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        angles=cycle_angles,
+        order_k=st.integers(min_value=1, max_value=4),
+        depth=st.integers(min_value=1, max_value=5),
+        max_size=st.sampled_from([None, 1, 2, 7, 40]),
+        env=points_env,
+    )
+    def test_matches_fraction_search(self, angles, order_k, depth, max_size, env):
+        fam = _cycle(angles)
+        with _points_env(env):
+            cap = min(max_size or 65536, int(env or 65536))
+            hull = exact_hull_displacements(fam, order_k, depth, max_size)
+        points, exhausted, stabilized = _reference_hull(fam, order_k, depth, cap)
+        assert [Fraction(n, hull.denominator) for n in hull.numerators] == points
+        assert [a.value for a in hull.angles] == points
+        assert (hull.budget_exhausted, hull.stabilized) == (exhausted, stabilized)
+
+    @pytest.mark.parametrize("depth, cap, raises", [
+        (1, None, False),  # depth 1 builds only the generators 0, +-1/P, +-1/Q
+        (2, 5, False),  # the cap stops the search at 1/P + 1/P, before 1/P + 1/Q
+        (2, 6, True),  # 1/P + 1/P is kept, then 1/P + 1/Q is over the budget
+        (2, None, True),
+    ])
+    def test_budget_error_at_the_same_sum(self, depth, cap, raises):
+        # every generator is inside the budget; their lcm and the sum 1/P + 1/Q are not
+        fam = _cycle([Fraction(1, P), Fraction(-1, P), Fraction(1, Q)])
+        if raises:
+            with pytest.raises(BudgetError, match="denominator exceeds"):
+                _reference_hull(fam, 3, depth, cap or 65536)
+            with pytest.raises(BudgetError, match="denominator exceeds"):
+                exact_hull_displacements(fam, 3, depth, cap)
+            return
+        points, exhausted, stabilized = _reference_hull(fam, 3, depth, cap or 65536)
+        hull = exact_hull_displacements(fam, 3, depth, cap)
+        assert [a.value for a in hull.angles] == points
+        assert (hull.budget_exhausted, hull.stabilized) == (exhausted, stabilized)
+
+
+class TestMinimalityCoverTest:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        angles=cycle_angles,
+        eps=st.fractions(min_value=Fraction(1, 40), max_value=Fraction(3, 4),
+                         max_denominator=48),
+        as_float=st.booleans(),
+        order_cap=st.integers(min_value=1, max_value=3),
+        depth=st.integers(min_value=1, max_value=4),
+        grid=st.sampled_from([2, 3, 7, 16]),
+        env=points_env,
+    )
+    @example(angles=[Fraction(1, 4)], eps=Fraction(1, 16), as_float=False,
+             order_cap=2, depth=4, grid=16, env=None)  # dmin == eps exactly
+    @example(angles=[Fraction(1, 4)], eps=Fraction(1, 16), as_float=True,
+             order_cap=2, depth=4, grid=16, env=None)
+    def test_matches_sorted_scan(self, angles, eps, as_float, order_cap, depth, grid, env):
+        if as_float:
+            eps = float(eps)
+        fam = MapFamily(
+            Space.CIRCLE,
+            lambda n: CircleRotation(angles[(n - 1) % len(angles)]),
+            "cycle",
+            declared_commutative=True,
+            declared_isometric=True,
+            exact=_cycle(angles),
+        )
+        with _points_env(env):
+            rep = minimality_certificate(fam, eps, order_cap, depth, grid)
+        verdict, k, size, witness = _reference_minimality(
+            fam.exact, eps, order_cap, depth, grid, int(env or 65536))
+        assert rep.verdict is verdict
+        assert rep.details.get("k") == k
+        assert rep.details.get("hull_size") == size
+        got = rep.witnesses[0] if rep.witnesses else None
+        assert (None if got is None else (*got.points, *got.distances)) == witness
