@@ -612,6 +612,8 @@ def minimality_certificate(
     """
     if eps <= 0 or order_cap < 1 or depth < 1 or grid < 2:
         raise ValueError("bad minimality parameters")
+    if not eps < math.inf:  # NaN or inf: no finite net to cover
+        raise ValueError("eps must be positive and finite")
     params = {
         "family": family.name,
         "eps": eps,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import UnknownNameError
 from .exact import RationalAngle, RationalRotationFamily
@@ -193,21 +192,16 @@ def _ex4() -> CorpusEntry:
     )
 
 
-@lru_cache(maxsize=None)
-def _harmonic_sum(k: int) -> Fraction:
-    if k == 0:
-        return Fraction(0)
-    return _harmonic_sum(k - 1) + Fraction(1, k)
-
-
-def _harmonic_step(n: int) -> RationalAngle:
-    k = (n + 1) // 2
-    h = _harmonic_sum(k)
-    return RationalAngle(h if n % 2 == 1 else -h)
-
-
 def _harmonic() -> CorpusEntry:
-    fam = _rotation_family("circle_harmonic", _harmonic_step)
+    sums = [Fraction(0)]  # sums[k] = H_k, extended on demand
+
+    def step(n: int) -> RationalAngle:
+        k = (n + 1) // 2
+        while len(sums) <= k:
+            sums.append(sums[-1] + Fraction(1, len(sums)))
+        return RationalAngle(sums[k] if n % 2 == 1 else -sums[k])
+
+    fam = _rotation_family("circle_harmonic", step)
     return CorpusEntry(
         name="circle_harmonic",
         description="odd steps rotate by the k-th harmonic sum of turns, even "

@@ -41,7 +41,8 @@ class RationalAngle:
         if type(value) is Fraction and 0 <= value.numerator < value.denominator:
             v = value
         else:
-            v = Fraction(value) % 1
+            v = Fraction(value)
+            v -= v.numerator // v.denominator  # Fraction - int skips a gcd
         _check_denominator(v.denominator)
         object.__setattr__(self, "value", v)
 

@@ -8,7 +8,8 @@ and it makes backward windows incremental); non-commutative families use the
 literal descending order.  FlowCache stores trajectories and reproduces
 these operation orders exactly: ascending for commutative families, blocks
 of one period for families with a declared period, and a per-time memo of
-omega otherwise (see FlowCache).
+omega otherwise (see FlowCache).  While every map is a rotation, or a block of
+w rotations, FlowCache moves float points by one inline loop over their turns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 from .errors import BudgetError, ConstructionError, PreconditionError
 from .exact import RationalRotationFamily, points_budget
 from .maps import Composite, Homeomorphism
-from .space import Space, metric, nearest_distance
+from .space import BOUNDARY_TOL, Space, metric, nearest_distance
 
 DEFAULT_HORIZON = 100_000
 
@@ -30,11 +31,12 @@ class MapFamily:
     """A state space plus the rule n -> f_n generating the flow.
 
     ``rule(n)`` must be defined for every n >= 1 up to the horizon; maps are
-    memoized on first use.  ``declared_commutative``, ``declared_isometric``
-    and ``declared_period`` (a p >= 1 with f_{n+p} = f_n exactly, or None)
-    are declarations to be audited, not assumed (see audit_commutativity /
-    audit_isometry / audit_period).  ``exact`` optionally carries the exact
-    rational view of a rotation family.
+    built in index order on first use and kept in one list.
+    ``declared_commutative``, ``declared_isometric`` and ``declared_period``
+    (a p >= 1 with f_{n+p} = f_n exactly, or None) are declarations to be
+    audited, not assumed (see audit_commutativity / audit_isometry /
+    audit_period).  ``exact`` optionally carries the exact rational view of a
+    rotation family.
     """
 
     def __init__(
@@ -64,16 +66,33 @@ class MapFamily:
         self.horizon = horizon
         self.exact = exact
         self.declared_period = declared_period
-        self._map_cache: dict[int, Homeomorphism] = {}
+        self._maps: list[Homeomorphism] = []  # _maps[n - 1] = f_n
+        # the turns of f_1, f_2, ..., _width per map, and in _back the inverse
+        # steps: negated, each map's last to first; until a map has no turns or
+        # another width
+        self._turns: list[float] | None = []
+        self._back: list[float] = []
+        self._width = 0
 
     def map_at(self, n: int) -> Homeomorphism:
         if n < 1:
             raise ConstructionError("map indices start at 1")
-        h = self._map_cache.get(n)
-        if h is None:
-            h = self.rule(n)
-            self._map_cache[n] = h
-        return h
+        return self._maps_through(n)[n - 1]
+
+    def _maps_through(self, n: int) -> list[Homeomorphism]:
+        """The map list, built through f_n, with the flat turns while they last."""
+        maps, turns = self._maps, self._turns
+        for k in range(len(maps) + 1, n + 1):
+            h = self.rule(k)
+            maps.append(h)
+            t = h.turns
+            if turns is not None and t and len(t) == (self._width or len(t)):
+                turns += t
+                self._back += [-a for a in reversed(t)]
+                self._width = len(t)
+            else:
+                self._turns = turns = None
+        return maps
 
     def __repr__(self):
         return f"MapFamily({self.name!r}, space={self.space.value})"
@@ -85,18 +104,43 @@ def omega(family: MapFamily, n: int, x):
         raise BudgetError(f"time {n} exceeds horizon {family.horizon}")
     if n == 0:
         return x
-    if n >= 1:
-        for k in range(1, n + 1):
-            x = family.map_at(k).forward(x)
+    maps = family._maps_through(abs(n))
+    if n > 0:
+        for h in maps[:n]:
+            x = h.forward(x)
         return x
     m = -n
-    if family.declared_commutative:
-        for k in range(1, m + 1):
-            x = family.map_at(k).inverse(x)
-    else:
-        for k in range(m, 0, -1):
-            x = family.map_at(k).inverse(x)
+    for h in maps[:m] if family.declared_commutative else maps[m - 1::-1]:
+        x = h.inverse(x)
     return x
+
+
+def _extend(family: MapFamily, traj: list, n: int, inverse: bool) -> None:
+    """Extend ``traj`` through entry n, entry k being f_k (or f_k^{-1}) of entry k - 1.
+
+    A float circle point moves along the family's turns, or for an inverse
+    its _back steps, with CircleRotation's float operations in its order:
+    wrap_circle(y + a), where y - a is y + (-a) in IEEE arithmetic.  Once y is
+    in [0, 1), the range check of the first step holds at every later one.
+    """
+    lo, y = len(traj), traj[-1]
+    maps = family._maps_through(n)
+    w = family._width
+    if (family._turns is None or type(y) is not float
+            or not -BOUNDARY_TOL <= y < 1 + BOUNDARY_TOL):
+        for h in maps[lo - 1:n]:
+            y = h.inverse(y) if inverse else h.forward(y)
+            traj.append(y)
+        return
+    out = traj if w == 1 else []  # one value per turn; traj takes each w-th
+    append = out.append
+    for a in (family._back if inverse else family._turns)[(lo - 1) * w:n * w]:
+        y = (y + a) % 1.0
+        if y >= 1.0:
+            y -= 1.0
+        append(y)
+    if w > 1:
+        traj += out[w - 1::w]
 
 
 class FlowCache:
@@ -105,12 +149,13 @@ class FlowCache:
     One trajectory store holds every value, keyed by (type(x), x, tag):
     Fraction(1, 2) and 0.5 are equal and hash alike but have different
     trajectories.  Tag "+" is the forward trajectory [x, omega_1(x), ...],
-    extended one map at a time as omega's loop does.  Backward values use one
-    of three strategies, chosen from the family's declarations when the
-    cache is made:
+    extended one map at a time as omega's loop does, inline over the family's
+    turns where it has them (see _extend).  Backward values use one of three
+    strategies, chosen from the family's declarations when the cache is made:
 
     * commutative ascending (tag "-"): entry m is omega_{-m}(x), extended by
-      f_m^{-1} -- the ascending order omega itself uses for these families;
+      f_m^{-1} -- the ascending order omega itself uses for these families --
+      by the same routine as the forward trajectory;
     * periodic blocks (declared_period p, tags 0 <= s < p): with m = jp + s,
       omega_{-m}(x) is entry j of the trajectory that starts at
       omega(-s, x) and is extended by f_p^{-1}, then ..., then f_1^{-1}.
@@ -143,10 +188,7 @@ class FlowCache:
         if traj is None:
             traj = self._store[key] = [x if tag == "-" else omega(fam, -tag, x)]
         if tag == "-":
-            y, map_at = traj[-1], fam.map_at
-            for k in range(len(traj), i + 1):
-                y = map_at(k).inverse(y)
-                traj.append(y)
+            _extend(fam, traj, i, True)
         elif len(traj) <= i:
             block = [fam.map_at(k).inverse for k in range(self._period, 0, -1)]
             y = traj[-1]
@@ -174,10 +216,7 @@ class FlowCache:
             if traj is None:
                 traj = self._store[key] = [x]
             if len(traj) <= n:
-                y, map_at = traj[-1], fam.map_at
-                for k in range(len(traj), n + 1):
-                    y = map_at(k).forward(y)
-                    traj.append(y)
+                _extend(fam, traj, n, False)
             return traj[n]
         if self._commutative:
             tag, i = "-", -n

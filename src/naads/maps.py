@@ -9,6 +9,7 @@ are expressed as a Composite with a Reflection.
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 
 from .errors import ConstructionError, DomainError
@@ -27,7 +28,13 @@ def _unit_clamp(x):
 
 
 class Homeomorphism:
-    """Base class; subclasses implement forward and inverse evaluation."""
+    """Base class; subclasses implement forward and inverse evaluation.
+
+    ``turns``, unless None, holds the float angles of the rotations the map is
+    made of, first applied first; FlowCache then applies the map inline.
+    """
+
+    turns = None
 
     def forward(self, x):
         raise NotImplementedError
@@ -115,23 +122,21 @@ class CircleRotation(Homeomorphism):
     Rational angles are kept exact; rotating a Fraction point by a rational
     angle stays in exact arithmetic, everything else runs in floats mod 1.
     A Fraction angle already in [0, 1) is kept as the same object, so a map
-    built from an exact step shares its value.
-
-    Float points inside the circle coordinates take a fast path that makes
-    the float operations of ``wrap_circle(x + angle)`` in the same order
-    (``x - a`` is ``x + (-a)`` in IEEE arithmetic), so its results equal the
-    general path's bit for bit; every other point (int, Fraction, out of
-    range) goes through ``_shift``.
+    built from an exact step shares its value.  ``turns`` is the float angle
+    alone, or None if it is NaN, which no inline loop may carry.
     """
 
     def __init__(self, angle):
         if type(angle) is Fraction and 0 <= angle.numerator < angle.denominator:
             self.angle = angle
         elif isinstance(angle, (int, str, Fraction)):
-            self.angle = Fraction(angle) % 1
+            a = Fraction(angle)
+            self.angle = a - a.numerator // a.denominator
         else:
             self.angle = float(angle) % 1.0
         self._angle_float = float(self.angle)
+        if not math.isnan(self._angle_float):
+            self.turns = (self._angle_float,)
 
     def _shift(self, x, amount, amount_float):
         if isinstance(x, Fraction) and isinstance(self.angle, Fraction):
@@ -141,15 +146,9 @@ class CircleRotation(Homeomorphism):
         return wrap_circle(x + amount_float)
 
     def forward(self, x):
-        if type(x) is float and -BOUNDARY_TOL <= x < 1 + BOUNDARY_TOL:
-            y = (x + self._angle_float) % 1.0
-            return y - 1.0 if y >= 1.0 else y
         return self._shift(x, self.angle, self._angle_float)
 
     def inverse(self, x):
-        if type(x) is float and -BOUNDARY_TOL <= x < 1 + BOUNDARY_TOL:
-            y = (x - self._angle_float) % 1.0
-            return y - 1.0 if y >= 1.0 else y
         return self._shift(x, -self.angle, -self._angle_float)
 
 
@@ -170,6 +169,8 @@ class Composite(Homeomorphism):
         if not maps:
             raise ConstructionError("composite needs at least one map")
         self.maps = maps
+        if all(h.turns for h in maps):
+            self.turns = tuple(a for h in maps for a in h.turns)
 
     def forward(self, x):
         for h in self.maps:

@@ -383,6 +383,14 @@ class TestHostileParameters:
         assert main(argv) == code
         assert capsys.readouterr().err.startswith("error: ")
 
+    # inf left the exact path no net centers to miss, so it certified
+    @pytest.mark.parametrize("family", ["circle_harmonic", "identity"])
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_minimality_eps_must_be_finite(self, capsys, family, eps):
+        argv = ["check", family, "minimality_certificate", "--param", f"eps={eps}"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: eps must be positive and finite\n"
+
 
 # The parameters each task accepts: its checker's, with N for n_max.
 _TASK_PARAMS = {

@@ -88,8 +88,8 @@ def _reference_angle(angle):
 def _reference_rotate(angle, x, inverse=False):
     """CircleRotation.forward / inverse as the general path computes them.
 
-    A copy of the constructor, ``_shift`` and the float branch of
-    ``wrap_circle``, which the float fast path must match bit for bit.
+    A copy of the constructor as it reduced with ``% 1``, of ``_shift`` and of
+    the float branch of ``wrap_circle``; CircleRotation must match it bit for bit.
     """
     angle = _reference_angle(angle)
     amount, amount_float = angle, float(angle)

@@ -1,0 +1,186 @@
+"""The inline rotation loop of FlowCache against the per-map loop it replaces.
+
+Families whose maps all carry ``turns`` (rotations, and blocks of rotations)
+extend float trajectories without calling forward/inverse.  Every value must
+equal, bit for bit, what one forward/inverse call per map gives, and every
+point the loop cannot take must raise the same error through that path.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from naads import (
+    CircleRotation,
+    Composite,
+    DomainError,
+    FlowCache,
+    MapFamily,
+    Space,
+    block_family,
+    corpus,
+    omega,
+)
+
+
+def _reference_omega(family, n, x):
+    """omega as one map_at call and one forward/inverse call per step."""
+    if n >= 0:
+        for k in range(1, n + 1):
+            x = family.map_at(k).forward(x)
+        return x
+    ks = range(1, -n + 1) if family.declared_commutative else range(-n, 0, -1)
+    for k in ks:
+        x = family.map_at(k).inverse(x)
+    return x
+
+
+def _outcome(f, *args):
+    """Type and exact value (repr keeps -0.0 and nan), or the error raised."""
+    try:
+        y = f(*args)
+    except DomainError as exc:
+        return DomainError, str(exc)
+    if isinstance(y, list):
+        return [(type(v), repr(v)) for v in y]
+    return type(y), repr(y)
+
+
+class _HiddenRotation(CircleRotation):
+    """A rotation without turns: the flow must take it through forward/inverse."""
+
+    def __init__(self, angle):
+        super().__init__(angle)
+        self.turns = None
+
+
+def _rotations(angles, cls=CircleRotation) -> MapFamily:
+    return MapFamily(
+        Space.CIRCLE,
+        lambda n: cls(angles[(n - 1) % len(angles)]),
+        "random_rotations",
+        declared_commutative=True,
+        declared_isometric=True,
+    )
+
+
+def _check_accesses(fam, x, accesses):
+    cache = FlowCache(fam)
+    for kind, n in accesses:
+        if kind == "omega":
+            got = _outcome(cache.omega, n, x)
+            assert got == _outcome(_reference_omega, fam, n, x), n
+            assert got == _outcome(omega, fam, n, x), n
+        else:
+            want = [_outcome(_reference_omega, fam, m, x) for m in range(-n, n + 1)]
+            errors = [w for w in want if w[0] is DomainError]
+            got = _outcome(cache.window, x, n)
+            assert got == (errors[0] if errors else want), n
+
+
+_ANGLE = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=1 << 20),
+    st.floats(min_value=-2, max_value=2),
+    # steps that land within one rounding of 1.0 and are folded back to 0.0
+    st.sampled_from([Fraction(1, 2**80), 1e-20, -1e-20, 0.0, 0.75, Fraction(3, 4)]),
+)
+
+_POINT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1 - 2**-53, 1 + 1e-10, -1e-10, -1e-20, 0,
+                     math.nextafter(0.25, 0)]),
+    st.floats(min_value=0, max_value=1, exclude_max=True),
+    st.fractions(min_value=0, max_value=1, max_denominator=64),
+    # outside the circle coordinates: the per-map path raises DomainError
+    st.sampled_from([1.5, -0.5, -1e-8, 1 + 1e-8, math.nan, math.inf]),
+)
+
+_ACCESS = st.lists(
+    st.one_of(
+        st.tuples(st.just("omega"), st.integers(min_value=-30, max_value=30)),
+        st.tuples(st.just("window"), st.integers(min_value=0, max_value=12)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestInlineRotationLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(angles=st.lists(_ANGLE, min_size=1, max_size=4),
+           r=st.integers(min_value=1, max_value=4), x=_POINT, accesses=_ACCESS)
+    # a step that rounds to 1.0 and is folded to 0.0: forward from a point just
+    # below 0, inverse from 0.0 by a tiny angle; at the end of a block, or
+    # before a turn where 1.0 + a and 0.0 + a round apart
+    @example(angles=[0.0], r=1, x=-1e-20, accesses=[("omega", 1)])
+    @example(angles=[Fraction(1, 2**80)], r=1, x=0.0, accesses=[("omega", -3)])
+    @example(angles=[0.0, 0.1], r=2, x=-1e-20, accesses=[("omega", 1)])
+    @example(angles=[Fraction(1, 2**80), 0.0], r=2, x=0.0, accesses=[("window", 3)])
+    # block inverses subtract the turns of a block last to first
+    @example(angles=[0.1, 0.7], r=2, x=0.3, accesses=[("omega", -5)])
+    def test_matches_per_map_loop(self, angles, r, x, accesses):
+        fam = block_family(_rotations(angles), r)
+        _check_accesses(fam, x, accesses)
+        fam.map_at(1)
+        assert fam._width == r and fam._turns is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(angles=st.lists(_ANGLE, min_size=1, max_size=4),
+           plain=st.integers(min_value=0, max_value=6), x=_POINT, accesses=_ACCESS)
+    def test_family_that_stops_having_turns(self, angles, plain, x, accesses):
+        """From map plain + 1 on, rotations hide their turns; values stay the same."""
+        def rule(n):
+            cls = CircleRotation if n <= plain else _HiddenRotation
+            return cls(angles[(n - 1) % len(angles)])
+
+        fam = MapFamily(Space.CIRCLE, rule, "stops", declared_commutative=True)
+        _check_accesses(fam, x, accesses)
+        reference = _rotations(angles, _HiddenRotation)
+        cache = FlowCache(fam)
+        for n in (-plain - 3, plain + 3):
+            assert _outcome(cache.omega, n, x) == _outcome(_reference_omega, reference, n, x)
+        assert fam._turns is None
+
+    def test_width_change_drops_turns(self):
+        maps = [CircleRotation(0.1), Composite([CircleRotation(0.2), CircleRotation(0.3)])]
+        fam = MapFamily(Space.CIRCLE, lambda n: maps[n > 1], "widths",
+                        declared_commutative=True)
+        fam.map_at(1)
+        assert fam._turns == [0.1] and fam._width == 1
+        _check_accesses(fam, 0.4, [("window", 5), ("omega", 7), ("omega", -7)])
+        assert fam._turns is None
+
+    def test_nan_angle_has_no_turns(self):
+        assert CircleRotation(math.nan).turns is None
+        fam = _rotations([math.nan])
+        # nan after one step, then the range check of the next step raises
+        _check_accesses(fam, 0.3, [("omega", 1), ("omega", 2), ("omega", -2)])
+
+    def test_turns(self):
+        assert CircleRotation(Fraction(5, 4)).turns == (0.25,)
+        assert CircleRotation(-0.25).turns == (0.75,)
+        parts = [CircleRotation(Fraction(1, 3)), CircleRotation(0.5)]
+        assert Composite(parts).turns == (float(Fraction(1, 3)), 0.5)
+        assert Composite([parts[0], _HiddenRotation(0.5)]).turns is None
+
+    def test_corpus_blocks_are_inline(self):
+        fam = block_family(corpus("circle_harmonic").family, 3)
+        _check_accesses(fam, 0.3, [("window", 40), ("omega", 50), ("omega", -50)])
+        assert fam._width == 3 and fam._turns is not None
+
+
+class TestMapList:
+    def test_map_at_any_index(self):
+        fam = corpus("circle_ex4").family
+        assert fam.map_at(9).angle == Fraction(1, 8)
+        assert fam.map_at(1).angle == Fraction(1, 2)
+        assert len(fam._maps) == 9 and len(fam._turns) == 9
+
+    @pytest.mark.parametrize("n", [1, 2, 2999, 3000])
+    def test_harmonic_steps_without_recursion(self, n):
+        entry = corpus("circle_harmonic")
+        h = sum(Fraction(1, k) for k in range(1, (n + 1) // 2 + 1))
+        assert entry.exact.step(n).value == (h if n % 2 else -h) % 1
+        assert entry.family.map_at(n).angle == entry.exact.step(n).value
