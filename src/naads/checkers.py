@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import BudgetError, PreconditionError
 from .exact import exact_hull_displacements, exact_periodicity
@@ -25,6 +26,7 @@ from .space import (
     Space,
     check_grid_size,
     diameter,
+    distances,
     metric,
     nearest_distance,
     net_centers,
@@ -61,6 +63,8 @@ def periodicity_check(
     """
     if r < 1:
         raise ValueError("period must be >= 1")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     params = {"family": family.name, "x": x, "r": r, "horizon": horizon, "tol": tol}
     cache = FlowCache(family)
 
@@ -68,10 +72,8 @@ def periodicity_check(
         # a witness past the family horizon would abort below all the same
         res = exact_periodicity(family.exact, r, min(horizon, family.horizon // r))
         if res.certified:
-            max_dev = max(
-                metric(family.space, cache.omega(j * r, x), x)
-                for j in range(-horizon, horizon + 1)
-            )
+            row = cache.window(x, horizon * r)[::r]  # times j * r, |j| <= horizon
+            max_dev = max(distances(family.space, row, repeat(x)))
             return PropertyReport(
                 "periodicity",
                 Verdict.CERTIFIED,
@@ -116,11 +118,8 @@ def _return_times(cache: FlowCache, x, eps, n_max: int) -> ReturnTimeSet:
     if not eps > 0 or n_max < 1:  # also rejects eps = nan
         raise ValueError("need eps > 0 and window >= 1")
     space = cache.family.space
-    times = [
-        n
-        for n, y in zip(range(-n_max, n_max + 1), cache.window(x, n_max))
-        if metric(space, y, x) < eps
-    ]
+    row = distances(space, cache.window(x, n_max), repeat(x))
+    times = [n for n, d in zip(range(-n_max, n_max + 1), row) if d < eps]
     internal = max(
         (b - a for a, b in zip(times, times[1:])), default=0
     )
@@ -225,19 +224,22 @@ def _first_far_time(space: Space, cache: FlowCache, a, b, w: int, eps, done: int
 
     None if the pair stays eps-close for |n| <= w.  Times with |n| <= done
     are known to be close and are skipped.  The pair's windows grow by
-    doubling, so a pair that separates at time n costs flow values up to
-    about 2|n|, and one that stays close costs a few window slices instead of
-    two cache.omega calls per time.
+    doubling, so a pair that separates at time n costs flow values and
+    distances up to about 2|n|, and one that stays close costs a few window
+    slices and distance rows instead of two cache.omega calls per time.
     """
     m = min(w, max(8, 2 * done))
     while True:
         wa, wb = cache.window(a, m), cache.window(b, m)
+        lo, end = m + done + 1, m - max(done, 0)  # index i holds time i - m
+        up = distances(space, wa[lo:], wb[lo:])  # times done + 1..m
+        down = distances(space, wa[:end], wb[:end])  # times -m..-max(done + 1, 1)
         for k in range(done + 1, m + 1):
-            d = metric(space, wa[m + k], wb[m + k])
+            d = up[k - done - 1]
             if d >= eps:
                 return k, d
             if k:
-                d = metric(space, wa[m - k], wb[m - k])
+                d = down[m - k]
                 if d >= eps:
                     return -k, d
         if m == w:
@@ -257,6 +259,8 @@ def equicontinuity_modulus(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if n_max < 0:
+        raise ValueError("window size must be >= 0")
     if 4 * n_max > family.horizon:  # no window may reach past the family
         raise BudgetError(f"time {4 * n_max} exceeds horizon {family.horizon}")
     params = {"family": family.name, "eps": eps, "N": n_max, "pair_grid": pair_grid}
@@ -302,14 +306,16 @@ def equicontinuity_modulus(
 
 def proximal_liminf(family: MapFamily, x, y, n_max: int) -> ProximalExtremes:
     """Min/max pair distance with witnessing times over |n| <= n_max."""
+    if n_max < 0:
+        raise ValueError("window size must be >= 0")
     if n_max > family.horizon:  # the scan would reach the horizon and abort
         raise BudgetError(f"time {n_max} exceeds horizon {family.horizon}")
-    space = family.space
     cache = FlowCache(family)
-    best = worst = metric(space, x, y)
+    row = distances(family.space, cache.window(x, n_max), cache.window(y, n_max))
+    best = worst = row[n_max]  # time 0
     t_best = t_worst = 0
     for n in _scan_times(n_max):
-        d = metric(space, cache.omega(n, x), cache.omega(n, y))
+        d = row[n + n_max]
         if d < best:
             best, t_best = d, n
         if d > worst:
@@ -326,6 +332,8 @@ def li_yorke_classify(
     high_tol: float = LI_YORKE_HIGH_TOL,
 ) -> PropertyReport:
     """Evidence that (x, y) gets both low_tol-close and high_tol-separated."""
+    if n_max < 0:
+        raise ValueError("window size must be >= 0")
     if low_tol >= high_tol:
         raise ValueError("low_tol must be below high_tol")
     params = {
@@ -387,6 +395,8 @@ def sensitivity_at_point(
     space = family.space
     if delta is None:
         delta = diameter(space) / 4
+    if not 0 < delta < math.inf:  # also rejects delta = nan
+        raise ValueError("delta must be positive and finite")
     params = {
         "family": family.name,
         "x": x,

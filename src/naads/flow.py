@@ -316,10 +316,11 @@ def hull_sample(
 
     Words are compositions of flow maps at times r in {-order_k, .., order_k}
     (time 0 is the identity and is harmless), at most ``depth`` letters long.
+    Each point's 2k + 1 successors come from one flow window, in time order.
     Deduplication keeps the first representative within dedup_eps: each
     candidate is tested against a sorted copy of the kept points
     (space.nearest_distance), so a test costs O(log n) comparisons and at most
-    4 metric calls, and keeping a point costs one O(n) list insertion.  Hitting
+    4 inline distances, and keeping a point costs one O(n) insertion.  Hitting
     ``max_points`` (globally capped by NAADS_BUDGET_POINTS) sets
     budget_exhausted; truncation is reported, never silent.
     """
@@ -336,8 +337,7 @@ def hull_sample(
     for _ in range(depth):
         new = []
         for y in frontier:
-            for r in range(-order_k, order_k + 1):
-                z = cache.omega(r, y)
+            for z in cache.window(y, order_k):  # times -order_k..order_k
                 if nearest_distance(space, index, z) >= dedup_eps:
                     points.append(z)
                     insort(index, z)

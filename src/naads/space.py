@@ -52,19 +52,36 @@ def metric(space: Space, x, y):
     return d
 
 
+def distances(space: Space, xs, ys) -> list:
+    """``[metric(space, x, y) for x, y in zip(xs, ys)]`` bit for bit, in two passes."""
+    ds = [abs(x - y) for x, y in zip(xs, ys)]
+    if space is Space.CIRCLE:
+        return [e if (e := 1 - d) < d else d for d in ds]
+    return ds
+
+
 def nearest_distance(space: Space, sorted_points, q):
     """``min(metric(space, q, p) for p in sorted_points)`` from at most 4 candidates.
 
     ``sorted_points`` is non-empty and ascending.  Rounded subtraction is
     monotone, so |q - p| is least at the sorted neighbours of q and 1 - |q - p|
     at the two extremes: the value equals the full scan bit for bit on floats
-    and exactly on fractions.
+    and exactly on fractions.  Distances are inline: min(d, 1 - d) is 1 - d
+    if 1 - d < d, else d, and the first least candidate is kept, as min keeps it.
     """
     i = bisect_left(sorted_points, q)
     near = sorted_points[i - 1:i + 1] if i else sorted_points[:1]
-    if space is Space.CIRCLE:
+    circle = space is Space.CIRCLE
+    if circle:
         near += (sorted_points[0], sorted_points[-1])
-    return min([metric(space, q, p) for p in near])
+    best = None
+    for p in near:
+        d = abs(q - p)
+        if circle and (e := 1 - d) < d:
+            d = e
+        if best is None or d < best:
+            best = d
+    return best
 
 
 def spread_exceeds(space: Space, points, delta) -> bool:
@@ -80,7 +97,7 @@ def spread_exceeds(space: Space, points, delta) -> bool:
     if len(s) < 2:
         return False
     if space is not Space.CIRCLE:
-        return metric(space, s[0], s[-1]) > delta
+        return abs(s[0] - s[-1]) > delta
     j = 0
     for i, p in enumerate(s):
         j = max(j, i + 1)
@@ -88,7 +105,7 @@ def spread_exceeds(space: Space, points, delta) -> bool:
             j += 1
         if j == len(s):
             return False
-        if metric(space, p, s[j]) > delta:
+        if 1 - abs(p - s[j]) > delta:  # and |p - s[j]| > delta, as found above
             return True
     return False
 

@@ -391,6 +391,49 @@ class TestHostileParameters:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: eps must be positive and finite\n"
 
+    # a non-positive delta counted every pair as separated, and a negative
+    # window or horizon left nothing (or only time 0) to scan
+    @pytest.mark.parametrize("family, task, params, message", [
+        ("circle_harmonic", "sensitivity_at_point", ["x=0.1", "N=5", "delta=0"],
+         "delta must be positive and finite"),
+        ("circle_harmonic", "sensitivity_at_point", ["x=0.1", "N=5", "delta=-1"],
+         "delta must be positive and finite"),
+        ("circle_harmonic", "sensitivity_at_point", ["x=0.1", "N=5", "delta=inf"],
+         "delta must be positive and finite"),
+        ("circle_harmonic", "dichotomy_scan", ["eps=0.1", "N=5", "delta=-1"],
+         "delta must be positive and finite"),
+        ("circle_harmonic", "equicontinuity_modulus", ["eps=0.1", "N=-5"],
+         "window size must be >= 0"),
+        ("circle_harmonic", "li_yorke_classify", ["x=0.1", "y=0.2", "N=-1"],
+         "window size must be >= 0"),
+        ("circle_harmonic", "proximal_liminf", ["x=0.1", "y=0.2", "N=-1"],
+         "window size must be >= 0"),
+        ("identity", "periodicity_check", ["x=0.1", "r=2", "horizon=-3"],
+         "horizon must be >= 0"),
+        ("circle_harmonic", "periodicity_check", ["x=0.1", "r=2", "horizon=-3"],
+         "horizon must be >= 0"),
+        ("circle_harmonic", "hull_periodicity_property", ["x=0.1", "r=2", "horizon=-3"],
+         "horizon must be >= 0"),
+    ])
+    def test_empty_scans_are_usage_errors(self, capsys, family, task, params, message):
+        argv = ["--no-timestamp", "check", family, task]
+        for item in params:
+            argv += ["--param", item]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    # N = 0 and horizon = 0 stay valid: time 0 alone is scanned
+    @pytest.mark.parametrize("task, params", [
+        ("equicontinuity_modulus", ["eps=0.1", "N=0"]),
+        ("proximal_liminf", ["x=0.1", "y=0.2", "N=0"]),
+        ("periodicity_check", ["x=0.1", "r=2", "horizon=0"]),
+    ])
+    def test_zero_window_and_horizon_stay_valid(self, capsys, task, params):
+        argv = ["--no-timestamp", "check", "circle_harmonic", task]
+        for item in params:
+            argv += ["--param", item]
+        assert main(argv) == EXIT_OK
+
 
 # The parameters each task accepts: its checker's, with N for n_max.
 _TASK_PARAMS = {
