@@ -562,11 +562,10 @@ def r_transitivity_check(
     rep.parameters = dict(rep.parameters)
     rep.parameters["family"] = family.name
     rep.parameters["r"] = r
-    if blocks.exact is not None:
+    if family.exact is not None:
         probe = min(n_max, 200)
-        identity = all(
-            blocks.exact.displacement(k).is_zero for k in range(1, probe + 1)
-        )
+        # block k is disp(kr) - disp((k-1)r), so all blocks vanish iff every disp(kr) does
+        identity = exact_periodicity(family.exact, r, probe).certified
         rep.details["identity_blocks"] = identity
         rep.details["identity_block_probe"] = probe
     return rep
@@ -914,6 +913,8 @@ def dichotomy_scan(
     space = family.space
     if delta is None:
         delta = diameter(space) / 4
+    if not 0 < delta < math.inf:  # before the modulus scan, as sensitivity_at_point would
+        raise ValueError("delta must be positive and finite")
     params = {
         "family": family.name,
         "eps": eps,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UnknownNameError
-from .exact import RationalAngle, RationalRotationFamily
+from .exact import ZERO, RationalAngle, RationalRotationFamily
 from .flow import MapFamily
 from .maps import CircleRotation, Composite, PiecewiseLinear, PowerMap, Reflection
 from .report import Verdict
@@ -193,13 +193,13 @@ def _ex4() -> CorpusEntry:
 
 
 def _harmonic() -> CorpusEntry:
-    sums = [Fraction(0)]  # sums[k] = H_k, extended on demand
+    fracs = [ZERO]  # fracs[k] = H_k mod 1, extended on demand
 
     def step(n: int) -> RationalAngle:
         k = (n + 1) // 2
-        while len(sums) <= k:
-            sums.append(sums[-1] + Fraction(1, len(sums)))
-        return RationalAngle(sums[k] if n % 2 == 1 else -sums[k])
+        while len(fracs) <= k:
+            fracs.append(fracs[-1] + RationalAngle(Fraction(1, len(fracs))))
+        return fracs[k] if n % 2 == 1 else -fracs[k]
 
     fam = _rotation_family("circle_harmonic", step)
     return CorpusEntry(

@@ -6,7 +6,8 @@ decided (within a finite horizon) instead of merely evidenced.  Angles are in
 turns; arbitrary-precision numerators and denominators come from
 fractions.Fraction, with a denominator-bit budget guarding pathological
 requests.  Sums of reduced angles fold back into [0, 1) by one add or
-subtract of 1; hulls are enumerated on integer numerators over one denominator.
+subtract of 1; flow prefix sums and hulls run on integer numerators over one
+denominator, and become angles only when asked for.
 """
 
 from __future__ import annotations
@@ -100,15 +101,21 @@ class RationalRotationFamily:
     """Indexed sequence n -> exact signed rotation amount of the n-th map.
 
     ``rule(n)`` returns the displacement of f_n as a RationalAngle for n >= 1.
-    Steps and flow displacements (prefix sums mod 1) are memoized, so each
-    index calls ``rule`` once; negative times negate.
+    Steps are memoized, so each index calls ``rule`` once.  Flow displacements
+    (prefix sums mod 1) are kept as integers: ``_num[n]`` over ``_den[n]``,
+    where ``_den[n]`` is the running lcm of the step denominators, so a step
+    costs one multiply-add and at most one gcd, with no Fraction.  The angle of
+    a prefix is built only when ``displacement`` asks for it, once per |n|;
+    negative times negate.
     """
 
     def __init__(self, rule: Callable[[int], RationalAngle], name: str):
         self.rule = rule
         self.name = name
         self._steps: dict[int, RationalAngle] = {}
-        self._prefix = [ZERO]  # _prefix[n] = displacement of omega_n
+        self._num = [0]  # displacement of omega_n is _num[n] / _den[n] in [0, 1)
+        self._den = [1]
+        self._angles: dict[int, RationalAngle] = {}
 
     def step(self, n: int) -> RationalAngle:
         if n < 1:
@@ -118,13 +125,38 @@ class RationalRotationFamily:
             a = self._steps[n] = self.rule(n)
         return a
 
+    def _extend(self, m: int) -> None:
+        """Prefix sums up to index m; a BudgetError leaves those before it."""
+        nums, dens = self._num, self._den
+        N, L = nums[-1], dens[-1]
+        for k in range(len(nums), m + 1):
+            v = self.step(k).value
+            d = v.denominator
+            q, rem = divmod(L, d)
+            if rem:  # L grows to lcm(L, d); gcd(L, d) = gcd(rem, d)
+                f = d // math.gcd(rem, d)
+                N *= f
+                L *= f
+                q = L // d
+            N += v.numerator * q
+            if N >= L:
+                N -= L
+            # a prefix's reduced denominator divides L
+            if L.bit_length() > DENOMINATOR_BIT_BUDGET:
+                _check_denominator(L // math.gcd(N, L))
+            nums.append(N)
+            dens.append(L)
+
     def displacement(self, n: int) -> RationalAngle:
         """Exact displacement of the flow at signed time n; 0 at n = 0."""
         m = abs(n)
-        while len(self._prefix) <= m:
-            k = len(self._prefix)
-            self._prefix.append(self._prefix[-1] + self.step(k))
-        d = self._prefix[m]
+        if m >= len(self._num):
+            self._extend(m)
+        if not self._num[m]:
+            return ZERO
+        d = self._angles.get(m)
+        if d is None:
+            d = self._angles[m] = RationalAngle(Fraction(self._num[m], self._den[m]))
         return -d if n < 0 else d
 
     def block(self, r: int) -> "RationalRotationFamily":

@@ -4,13 +4,14 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naads import CORPUS_NAMES
+from naads import CORPUS_NAMES, checkers, corpus
 from naads.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
@@ -421,6 +422,25 @@ class TestHostileParameters:
             argv += ["--param", item]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # dichotomy_scan rejects delta before its equicontinuity scan, which used
+    # to run in full first; the message and the exit code are unchanged
+    @pytest.mark.parametrize("delta", [-1, 0, math.nan, "-1", "0"],
+                             ids=["-1", "0", "nan", "cli-1", "cli0"])
+    def test_dichotomy_rejects_delta_before_scanning(self, capsys, monkeypatch, delta):
+        def scan(*args, **kwargs):
+            raise AssertionError("equicontinuity_modulus ran")
+
+        monkeypatch.setattr(checkers, "equicontinuity_modulus", scan)
+        if not isinstance(delta, str):  # nan does not parse on the command line
+            family = corpus("circle_harmonic").family
+            with pytest.raises(ValueError, match="^delta must be positive and finite$"):
+                checkers.dichotomy_scan(family, 0.1, delta=delta)
+            return
+        argv = ["check", "circle_harmonic", "dichotomy_scan",
+                "--param", "eps=0.1", "--param", f"delta={delta}"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: delta must be positive and finite\n"
 
     # N = 0 and horizon = 0 stay valid: time 0 alone is scanned
     @pytest.mark.parametrize("task, params", [

@@ -1,9 +1,10 @@
 """The integer exact kernel against reference copies of the Fraction code it replaced.
 
 Each reference below is the earlier implementation written out in plain
-Fraction arithmetic: angles re-reduced with ``% 1`` on every operation, hull
-enumeration over sets of reduced angles, and the cover test that sorts a
-translated hull per grid point and scans it with the circle metric.
+Fraction arithmetic: angles re-reduced with ``% 1`` on every operation, flow
+prefix sums that add one reduced step at a time, hull enumeration over sets of
+reduced angles, and the cover test that sorts a translated hull per grid point
+and scans it with the circle metric.
 """
 
 import math
@@ -24,10 +25,13 @@ from naads import (
     RationalRotationFamily,
     Space,
     Verdict,
+    corpus,
     exact_hull_displacements,
+    exact_periodicity,
     minimality_certificate,
+    r_transitivity_check,
 )
-from naads.exact import DENOMINATOR_BIT_BUDGET
+from naads.exact import DENOMINATOR_BIT_BUDGET, ZERO
 from naads.space import metric
 
 # Denominators with 16384 bits (inside the budget) and 16385 bits (over it);
@@ -167,10 +171,23 @@ def _reference_minimality(fam, eps, order_cap, depth, grid, cap):
     return Verdict.INCONCLUSIVE_BUDGET, None, None, None
 
 
+def _rule(values):
+    return lambda n: RationalAngle(values[(n - 1) % len(values)])
+
+
 def _cycle(angles):
-    def rule(n):
-        return RationalAngle(angles[(n - 1) % len(angles)])
-    return RationalRotationFamily(rule, "cycle")
+    return RationalRotationFamily(_rule(angles), "cycle")
+
+
+def _inline_cycle(angles):
+    return MapFamily(
+        Space.CIRCLE,
+        lambda n: CircleRotation(angles[(n - 1) % len(angles)]),
+        "cycle",
+        declared_commutative=True,
+        declared_isometric=True,
+        exact=_cycle(angles),
+    )
 
 
 @contextmanager
@@ -246,14 +263,7 @@ class TestMinimalityCoverTest:
     def test_matches_sorted_scan(self, angles, eps, as_float, order_cap, depth, grid, env):
         if as_float:
             eps = float(eps)
-        fam = MapFamily(
-            Space.CIRCLE,
-            lambda n: CircleRotation(angles[(n - 1) % len(angles)]),
-            "cycle",
-            declared_commutative=True,
-            declared_isometric=True,
-            exact=_cycle(angles),
-        )
+        fam = _inline_cycle(angles)
         with _points_env(env):
             rep = minimality_certificate(fam, eps, order_cap, depth, grid)
         verdict, k, size, witness = _reference_minimality(
@@ -263,3 +273,168 @@ class TestMinimalityCoverTest:
         assert rep.details.get("hull_size") == size
         got = rep.witnesses[0] if rep.witnesses else None
         assert (None if got is None else (*got.points, *got.distances)) == witness
+
+
+class _ReferencePrefix:
+    """RationalRotationFamily's displacements as the earlier Fraction loop built them.
+
+    Each prefix is the previous one plus the next step, reduced mod 1 and
+    checked against the budget; negative times negate.
+    """
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.steps = {}
+        self.prefix = [Fraction(0)]
+
+    def step(self, n):
+        if n not in self.steps:
+            self.steps[n] = self.rule(n).value
+        return self.steps[n]
+
+    def displacement(self, n):
+        m = abs(n)
+        while len(self.prefix) <= m:
+            k = len(self.prefix)
+            self.prefix.append(_reference_value(self.prefix[-1] + self.step(k)))
+        d = self.prefix[m]
+        return _reference_value(-d) if n < 0 else d
+
+    def block(self, r):
+        def rule(k):
+            return RationalAngle(self.displacement(k * r) - self.displacement((k - 1) * r))
+        return _ReferencePrefix(rule)
+
+    def periodicity(self, r, horizon):
+        """(certified, witness_time, str(witness_displacement)) of exact_periodicity."""
+        for j in range(1, horizon + 1):
+            d = self.displacement(j * r)
+            if d != 0:
+                return False, j * r, str(d)
+        return True, None, None
+
+
+def _periodicity_outcome(result):
+    return result.certified, result.witness_time, (
+        None if result.witness_displacement is None else str(result.witness_displacement))
+
+
+def _same_displacement(fam, ref, n):
+    """fam.displacement(n) equals the reference, or raises the same BudgetError."""
+    got, want = _outcome(fam.displacement, n), _outcome(ref.displacement, n)
+    if want[0] is BudgetError:
+        assert got == want
+        return
+    assert got[0] is RationalAngle and got[1].value == want[1]
+    assert (got[1] is ZERO) == (want[1] == 0)  # a zero prefix is the shared ZERO
+
+
+def _primes(count):
+    """The first ``count`` primes."""
+    limit = 16 * count  # the count-th prime is below this for count >= 6
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]][:count]
+
+
+# negative steps, steps of one turn or more, and integer steps
+step_value = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=40),
+    st.integers(min_value=-3, max_value=3),
+)
+signed_times = st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=12)
+
+
+class TestPrefixSums:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(step_value, min_size=1, max_size=8), times=signed_times)
+    @example(values=[Fraction(1, 2)], times=[2, -4, 3])  # prefixes of exactly one turn
+    @example(values=[Fraction(1, 3), 1, Fraction(-1, 3)], times=[-3, 1])
+    def test_matches_fraction_loop(self, values, times):
+        calls = []
+        rule = _rule(values)
+        fam = RationalRotationFamily(lambda n: calls.append(n) or rule(n), "cycle")
+        ref = _ReferencePrefix(rule)
+        for n in times:
+            _same_displacement(fam, ref, n)
+        assert calls == list(range(1, max(map(abs, times)) + 1))  # each index once
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(step_value, min_size=1, max_size=6),
+           r=st.integers(min_value=1, max_value=6),
+           horizon=st.integers(min_value=0, max_value=12))
+    @example(values=[Fraction(1, 4), Fraction(-1, 4)], r=2, horizon=5)  # certified
+    @example(values=[Fraction(1, 2), 0, Fraction(1, 3)], r=1, horizon=4)  # zero prefixes skipped
+    def test_periodicity_results(self, values, r, horizon):
+        fam = _cycle(values)
+        ref = _ReferencePrefix(_rule(values))
+        got = _periodicity_outcome(exact_periodicity(fam, r, horizon))
+        assert got == ref.periodicity(r, horizon)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(step_value, min_size=1, max_size=6), times=signed_times)
+    def test_block_displacements(self, values, times):
+        fam = _cycle(values)
+        ref = _ReferencePrefix(_rule(values))
+        for r in range(2, 6):
+            block, ref_block = fam.block(r), ref.block(r)
+            for n in times[:6]:
+                _same_displacement(block, ref_block, n)
+
+    @pytest.mark.parametrize("values", [
+        [Fraction(1, P), Fraction(-1, P), Fraction(1, Q), Fraction(-1, Q)],  # lcm over, prefixes not
+        [Fraction(1, P), Fraction(1, Q)],  # the second prefix is over the budget
+        [Fraction(1, 3), Fraction(1, P), Fraction(-1, 3), Fraction(1, Q), Fraction(-1, P)],
+    ])
+    def test_budget_on_big_denominators(self, values):
+        fam = _cycle(values)
+        ref = _ReferencePrefix(_rule(values))
+        for n in (*range(2 * len(values) + 1), -1, -3):
+            _same_displacement(fam, ref, n)
+
+    def test_budget_error_at_the_same_index(self):
+        # every step 1/p is small, while the prefix at m has the product of the
+        # first m primes as its denominator: over the budget first at m = 1387
+        primes = _primes(1400)
+        assert math.prod(primes[:1386]).bit_length() <= DENOMINATOR_BIT_BUDGET
+        assert math.prod(primes[:1387]).bit_length() > DENOMINATOR_BIT_BUDGET
+        rule = lambda n: RationalAngle(Fraction(1, primes[n - 1]))  # noqa: E731
+        fam, ref = RationalRotationFamily(rule, "primes"), _ReferencePrefix(rule)
+        message = f"denominator exceeds {DENOMINATOR_BIT_BUDGET} bits"
+        for n in (1386, 1387, -1387, 1390):
+            _same_displacement(fam, ref, n)
+        assert _outcome(fam.displacement, 1387) == (BudgetError, message)
+        for n in (1386, 1000, -1386, 1):  # smaller times still answer after the error
+            _same_displacement(fam, ref, n)
+        assert fam.displacement(1386).value == sum(Fraction(1, p) for p in primes[:1386]) % 1
+
+
+def _reference_identity_blocks(family, r, probe):
+    """The earlier probe: every block displacement up to ``probe`` vanishes."""
+    blocks = _ReferencePrefix(family.exact.rule).block(r)
+    return all(blocks.displacement(k) == 0 for k in range(1, probe + 1))
+
+
+class TestIdentityBlockProbe:
+    @settings(max_examples=40, deadline=None)
+    @given(angles=st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=12),
+                           min_size=1, max_size=4),
+           r=st.integers(min_value=1, max_value=6),
+           n_max=st.integers(min_value=0, max_value=12))
+    @example(angles=[Fraction(1, 3), Fraction(-1, 3)], r=4, n_max=6)  # identity blocks
+    @example(angles=[Fraction(1, 2)], r=3, n_max=5)  # r odd: no block vanishes
+    def test_inline_cycles(self, angles, r, n_max):
+        rep = r_transitivity_check(_inline_cycle(angles), r, eps=0.25, n_max=n_max, grid=2)
+        want = _reference_identity_blocks(_inline_cycle(angles), r, min(n_max, 200))
+        assert rep.details["identity_blocks"] is want
+
+    @pytest.mark.parametrize("name", ["circle_ex4", "circle_harmonic"])
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_corpus_families(self, name, r):
+        rep = r_transitivity_check(corpus(name).family, r, eps=0.25, n_max=20, grid=2)
+        want = _reference_identity_blocks(corpus(name).family, r, 20)
+        assert rep.details["identity_blocks"] is want
+        assert rep.details["identity_block_probe"] == 20

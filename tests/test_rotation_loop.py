@@ -183,4 +183,13 @@ class TestMapList:
         entry = corpus("circle_harmonic")
         h = sum(Fraction(1, k) for k in range(1, (n + 1) // 2 + 1))
         assert entry.exact.step(n).value == (h if n % 2 else -h) % 1
-        assert entry.family.map_at(n).angle == entry.exact.step(n).value
+        assert entry.family.map_at(n).angle is entry.exact.step(n).value
+
+    def test_harmonic_steps_in_order(self):
+        entry = corpus("circle_harmonic")
+        h = Fraction(0)
+        for n in range(1, 3001):
+            if n % 2:
+                h += Fraction(1, (n + 1) // 2)
+            assert entry.exact.step(n).value == (h if n % 2 else -h) % 1
+            assert entry.family.map_at(n).angle is entry.exact.step(n).value
