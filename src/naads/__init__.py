@@ -31,9 +31,6 @@ from .flow import (
     FlowCache,
     HullSample,
     MapFamily,
-    audit_commutativity,
-    audit_isometry,
-    audit_period,
     block_family,
     hull_sample,
     omega,
@@ -119,9 +116,6 @@ __all__ = [
     "Witness",
     "almost_periodicity_report",
     "ap_propagation_check",
-    "audit_commutativity",
-    "audit_isometry",
-    "audit_period",
     "block_family",
     "corpus",
     "diameter",

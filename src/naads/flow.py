@@ -5,11 +5,13 @@ identity; time -n is the inverse of the time-n flow, i.e.
 f_1^{-1} o ... o f_n^{-1}.  For families declared commutative the inverse
 factors are applied in ascending index order instead (mathematically equal,
 and it makes backward windows incremental); non-commutative families use the
-literal descending order.  FlowCache stores trajectories and reproduces
-these operation orders exactly: ascending for commutative families, blocks
-of one period for families with a declared period, and a per-time memo of
-omega otherwise (see FlowCache).  While every map is a rotation, or a block of
-w rotations, FlowCache moves float points by one inline loop over their turns.
+literal descending order.  A family's declarations (commutative, isometric,
+period) are checked on every map it builds, so a flow never rests on a false
+one.  FlowCache stores trajectories and reproduces these operation orders
+exactly: ascending for commutative families, blocks of one period for
+families with a declared period, and a per-time memo of omega otherwise (see
+FlowCache).  While every map is a rotation, or a block of w rotations,
+FlowCache moves float points by one inline loop over their turns.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Optional
 
-from .errors import BudgetError, ConstructionError, PreconditionError
+from .errors import BudgetError, ConstructionError
 from .exact import RationalRotationFamily, points_budget
 from .maps import Composite, Homeomorphism
-from .space import BOUNDARY_TOL, Space, metric, nearest_distance
+from .space import BOUNDARY_TOL, Space, nearest_distance
 
 DEFAULT_HORIZON = 100_000
 
@@ -31,12 +33,17 @@ class MapFamily:
     """A state space plus the rule n -> f_n generating the flow.
 
     ``rule(n)`` must be defined for every n >= 1 up to the horizon; maps are
-    built in index order on first use and kept in one list.
-    ``declared_commutative``, ``declared_isometric`` and ``declared_period``
-    (a p >= 1 with f_{n+p} = f_n exactly, or None) are declarations to be
-    audited, not assumed (see audit_commutativity / audit_isometry /
-    audit_period).  ``exact`` optionally carries the exact rational view of a
-    rotation family.
+    built in index order on first use and kept in one list.  The declarations
+    are checked on every map built, and a map that breaks one raises
+    ConstructionError at its first use:
+
+    * ``declared_commutative``: f_n has a ``kind`` (maps of one kind commute)
+      and it is f_1's;
+    * ``declared_isometric``: f_n is ``isometric``;
+    * ``declared_period`` (a p >= 1, or None): for n > p, f_n is f_{n-p}, or
+      has the same type and equal attributes.
+
+    ``exact`` optionally carries the exact rational view of a rotation family.
     """
 
     def __init__(
@@ -80,10 +87,26 @@ class MapFamily:
         return self._maps_through(n)[n - 1]
 
     def _maps_through(self, n: int) -> list[Homeomorphism]:
-        """The map list, built through f_n, with the flat turns while they last."""
-        maps, turns = self._maps, self._turns
+        """The map list, built through f_n, with the flat turns while they last.
+
+        Each new map is checked against the declarations before it is kept.
+        """
+        maps, turns, p = self._maps, self._turns, self.declared_period
         for k in range(len(maps) + 1, n + 1):
             h = self.rule(k)
+            if self.declared_commutative and (
+                    h.kind is None or maps and h.kind != maps[0].kind):
+                raise ConstructionError(
+                    f"{self.name!r} is declared commutative, but f_{k} has kind "
+                    f"{h.kind!r}, not one kind shared with f_1")
+            if self.declared_isometric and not h.isometric:
+                raise ConstructionError(
+                    f"{self.name!r} is declared isometric, but f_{k} is not")
+            if p and k > p and not (h is (g := maps[k - p - 1]) or (
+                    type(h) is type(g) and vars(h) == vars(g))):
+                raise ConstructionError(
+                    f"{self.name!r} declares period {p}, but f_{k} differs "
+                    f"from f_{k - p}")
             maps.append(h)
             t = h.turns
             if turns is not None and t and len(t) == (self._width or len(t)):
@@ -362,78 +385,3 @@ def hull_sample(
         budget_exhausted=exhausted,
         stabilized=stabilized,
     )
-
-
-def audit_commutativity(
-    family: MapFamily, horizon: int = 8, grid: int = 17, tol: float = 1e-9
-):
-    """Sampled check that f_i o f_j = f_j o f_i for i, j <= horizon.
-
-    Returns (ok, max_deviation, witness) where witness is (i, j, x) for the
-    largest deviation found.  Declarations are checked, never assumed.
-    """
-    from .space import uniform_grid
-
-    worst = 0.0
-    witness = None
-    pts = uniform_grid(family.space, grid)
-    for i in range(1, horizon + 1):
-        fi = family.map_at(i)
-        for j in range(i + 1, horizon + 1):
-            fj = family.map_at(j)
-            for x in pts:
-                d = metric(family.space, fi.forward(fj.forward(x)),
-                           fj.forward(fi.forward(x)))
-                if d > worst:
-                    worst = d
-                    witness = (i, j, x)
-    return worst <= tol, worst, witness
-
-
-def audit_period(family: MapFamily, horizon: int = 8, grid: int = 17):
-    """Check that f_n and f_{n+p} agree exactly for n <= horizon, p declared.
-
-    Forward and inverse values are compared with == on a uniform grid: the
-    periodic backward windows of FlowCache rely on bit-identical maps, so no
-    tolerance applies.  Returns (ok, max_deviation, witness) where witness is
-    (n, n + p, x) for the largest deviation found (the first mismatch if all
-    mismatches are at distance 0).
-    """
-    from .space import uniform_grid
-
-    p = family.declared_period
-    if p is None:
-        raise PreconditionError(f"{family.name} declares no period")
-    ok, worst, witness = True, 0.0, None
-    pts = uniform_grid(family.space, grid)
-    for n in range(1, horizon + 1):
-        f, g = family.map_at(n), family.map_at(n + p)
-        for x in pts:
-            for a, b in ((f.forward(x), g.forward(x)), (f.inverse(x), g.inverse(x))):
-                if a == b:
-                    continue
-                d = metric(family.space, a, b)
-                if ok or d > worst:
-                    worst, witness = max(worst, d), (n, n + p, x)
-                ok = False
-    return ok, worst, witness
-
-
-def audit_isometry(
-    family: MapFamily, n_max: int = 100, pairs: int = 25, tol: float = 1e-12
-):
-    """Sampled check that the flow preserves distances up to |n| <= n_max."""
-    from .space import uniform_grid
-
-    cache = FlowCache(family)
-    pts = uniform_grid(family.space, pairs + 1)
-    worst = 0.0
-    witness = None
-    for a, b in zip(pts, pts[1:]):
-        d0 = metric(family.space, a, b)
-        for n in range(-n_max, n_max + 1):
-            d = metric(family.space, cache.omega(n, a), cache.omega(n, b))
-            if abs(d - d0) > worst:
-                worst = abs(d - d0)
-                witness = (a, b, n)
-    return worst <= tol, worst, witness

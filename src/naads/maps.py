@@ -32,9 +32,14 @@ class Homeomorphism:
 
     ``turns``, unless None, holds the float angles of the rotations the map is
     made of, first applied first; FlowCache then applies the map inline.
+    ``kind`` names a class of maps that commute with each other ("rotation",
+    "power"), or is None; ``isometric`` says that the map preserves distances.
+    MapFamily checks its declarations against these two facts.
     """
 
     turns = None
+    kind = None
+    isometric = False
 
     def forward(self, x):
         raise NotImplementedError
@@ -92,11 +97,14 @@ class PowerMap(Homeomorphism):
     exactly so orbits through 0 and 1 never drift.
     """
 
+    kind = "power"
+
     def __init__(self, exponent):
         e = Fraction(exponent)
         if e <= 0:
             raise ConstructionError(f"exponent must be positive, got {exponent!r}")
         self.exponent = e
+        self.isometric = e == 1
         self._e = float(e)
         self._e_inv = float(1 / e)
 
@@ -125,6 +133,9 @@ class CircleRotation(Homeomorphism):
     built from an exact step shares its value.  ``turns`` is the float angle
     alone, or None if it is NaN, which no inline loop may carry.
     """
+
+    kind = "rotation"
+    isometric = True
 
     def __init__(self, angle):
         if type(angle) is Fraction and 0 <= angle.numerator < angle.denominator:
@@ -155,6 +166,8 @@ class CircleRotation(Homeomorphism):
 class Reflection(Homeomorphism):
     """The involution x -> 1 - x on the unit interval."""
 
+    isometric = True
+
     def forward(self, x):
         return 1 - _unit_clamp(x)
 
@@ -162,7 +175,11 @@ class Reflection(Homeomorphism):
 
 
 class Composite(Homeomorphism):
-    """Composition of maps; ``maps[0]`` is applied first going forward."""
+    """Composition of maps; ``maps[0]`` is applied first going forward.
+
+    It has its parts' kind when they all share one, and is isometric when
+    they all are.
+    """
 
     def __init__(self, maps):
         maps = list(maps)
@@ -171,6 +188,9 @@ class Composite(Homeomorphism):
         self.maps = maps
         if all(h.turns for h in maps):
             self.turns = tuple(a for h in maps for a in h.turns)
+        if len({h.kind for h in maps}) == 1:
+            self.kind = maps[0].kind
+        self.isometric = all(h.isometric for h in maps)
 
     def forward(self, x):
         for h in self.maps:

@@ -1,4 +1,4 @@
-"""Flow evaluation, caching, block families, hull sampling, audits."""
+"""Flow evaluation, caching, block families, hull sampling, checked declarations."""
 
 from fractions import Fraction
 
@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from naads import (
     BudgetError,
+    CircleRotation,
     Composite,
     ConstructionError,
     FlowCache,
+    Homeomorphism,
     MapFamily,
     PiecewiseLinear,
     PowerMap,
@@ -18,12 +20,10 @@ from naads import (
     Reflection,
     SchemaError,
     Space,
-    audit_commutativity,
-    audit_isometry,
-    audit_period,
     block_family,
     corpus,
     exact_hull_displacements,
+    hull_closure_equality,
     hull_sample,
     metric,
     omega,
@@ -188,7 +188,7 @@ class TestPeriodicStore:
     def test_block_family_period_and_windows(self, r, period):
         blocks = block_family(corpus("example1_tent_sqrt").family, r)
         assert blocks.declared_period == period
-        assert audit_period(blocks)[0]
+        blocks.map_at(20)  # each block equals the one a period before it
         cache = FlowCache(blocks)
         for x in (0, 0.3, Fraction(1, 2)):
             cache.omega(-5, x)
@@ -343,12 +343,25 @@ class TestHullSample:
             hull_sample(fam, 0.5, order_k=1, depth=1, dedup_eps=0.0)
 
 
-class TestAudits:
-    def test_period_audit(self):
-        ok, worst, witness = audit_period(corpus("example1_tent_sqrt").family)
-        assert ok and worst == 0.0 and witness is None
+class TestDeclarations:
+    """A map that breaks its family's declaration raises ConstructionError when built."""
 
-    def test_period_audit_finds_altered_map(self):
+    def test_example1_declared_commutative(self):
+        rule = corpus("example1_tent_sqrt").family.rule
+        fam = MapFamily(Space.UNIT_INTERVAL, rule, "ex1", declared_commutative=True)
+        with pytest.raises(ConstructionError, match="f_1 has kind None"):
+            omega(fam, -2, 0.3)
+
+    def test_example2_declared_isometric(self):
+        rule = corpus("example2_powers").family.rule
+        with pytest.raises(PreconditionError):
+            hull_closure_equality(corpus("example2_powers").family, 0.3, 0.1)
+        fam = MapFamily(Space.UNIT_INTERVAL, rule, "ex2", declared_commutative=True,
+                        declared_isometric=True)
+        with pytest.raises(ConstructionError, match="f_1 is not"):
+            hull_closure_equality(fam, 0.3, 0.1)
+
+    def test_period_altered_at_5(self):
         odd = PiecewiseLinear([(0, 0), (0.5, 0.25), (1, 1)])
         even = Composite([PowerMap(Fraction(1, 2)), Reflection()])
         altered = PiecewiseLinear([(0, 0), (0.5, 0.3), (1, 1)])
@@ -358,46 +371,40 @@ class TestAudits:
             "altered_at_5",
             declared_period=2,
         )
-        ok, worst, witness = audit_period(fam)
-        assert not ok and worst > 0.01
-        assert 5 in witness[:2] and witness[1] - witness[0] == 2
+        assert omega(fam, -4, 0.3) == omega(corpus("example1_tent_sqrt").family, -4, 0.3)
+        for _ in range(2):  # the breaking map is never kept
+            with pytest.raises(ConstructionError, match="f_5 differs from f_3"):
+                FlowCache(fam).window(0.3, 5)
 
-    def test_period_audit_is_exact(self):
-        # a deviation far below any tolerance still fails the audit
+    def test_period_has_no_tolerance(self):
         f = PiecewiseLinear([(0, 0), (0.5, 0.5), (1, 1)])
         g = PiecewiseLinear([(0, 0), (0.5, 0.5 + 2 ** -40), (1, 1)])
         fam = MapFamily(Space.UNIT_INTERVAL, lambda n: g if n == 3 else f, "tiny",
                         declared_period=1)
-        ok, worst, witness = audit_period(fam)
-        assert not ok and 0 < worst < 1e-9 and witness[:2] in ((2, 3), (3, 4))
+        fam.map_at(2)
+        with pytest.raises(ConstructionError, match="f_3 differs from f_2"):
+            omega(fam, 4, 0.3)
 
-    def test_period_audit_needs_declaration(self):
-        with pytest.raises(PreconditionError):
-            audit_period(corpus("example2_powers").family)
+    def test_mixed_kinds_declared_commutative(self):
+        fam = MapFamily(
+            Space.CIRCLE,
+            lambda n: CircleRotation(Fraction(1, 4)) if n % 2 else PowerMap(2),
+            "mixed",
+            declared_commutative=True,
+        )
+        omega(fam, 1, 0.3)
+        with pytest.raises(ConstructionError, match="f_2 has kind 'power'"):
+            omega(fam, 2, 0.3)
 
-    def test_commutativity_audit(self):
-        ok, worst, _ = audit_commutativity(corpus("example2_powers").family)
-        assert ok and worst <= 1e-9
-        ok, worst, witness = audit_commutativity(corpus("example1_tent_sqrt").family)
-        assert not ok and worst > 1e-3 and witness is not None
+    def test_map_without_kind_declared_commutative(self):
+        class Shift(Homeomorphism):
+            def forward(self, x):
+                return (x + 0.25) % 1.0
 
-    def test_isometry_audit(self):
-        for name in ("circle_settling", "circle_ex4", "circle_harmonic"):
-            ok, worst, _ = audit_isometry(corpus(name).family)
-            assert ok, f"{name} audit worst deviation {worst}"
-        ok, worst, _ = audit_isometry(corpus("example2_powers").family)
-        assert not ok
+            def inverse(self, x):
+                return (x - 0.25) % 1.0
 
-    def test_declarations_match_audits(self):
-        for name in (
-            "identity",
-            "example1_tent_sqrt",
-            "example2_powers",
-            "circle_settling",
-            "circle_ex4",
-            "circle_harmonic",
-            "interval_square_sqrt",
-        ):
-            fam = corpus(name).family
-            ok, _, _ = audit_commutativity(fam)
-            assert ok == fam.declared_commutative, name
+        fam = MapFamily(Space.CIRCLE, lambda n: Shift(), "plain",
+                        declared_commutative=True)
+        with pytest.raises(ConstructionError, match="f_1 has kind None"):
+            omega(fam, 1, 0.3)
