@@ -9,11 +9,12 @@ the checker suite is expected to produce, which drives the acceptance tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UnknownNameError
-from .exact import ZERO, RationalAngle, RationalRotationFamily
+from .exact import ZERO, RationalAngle, RationalRotationFamily, _coprime
 from .flow import MapFamily
 from .maps import CircleRotation, Composite, PiecewiseLinear, PowerMap, Reflection
 from .report import Verdict
@@ -198,7 +199,14 @@ def _harmonic() -> CorpusEntry:
     def step(n: int) -> RationalAngle:
         k = (n + 1) // 2
         while len(fracs) <= k:
-            fracs.append(fracs[-1] + RationalAngle(Fraction(1, len(fracs))))
+            # a/b + 1/j in lowest terms with no full-width gcd (Knuth, TAOCP 4.5.1)
+            j, v = len(fracs), fracs[-1].value
+            a, b = v.numerator, v.denominator
+            g = math.gcd(b, j)
+            a, b = a * (j // g) + b // g, b * (j // g)
+            g = math.gcd(a, g)
+            a, b = a // g, b // g
+            fracs.append(RationalAngle(_coprime(a - b if a >= b else a, b)))
         return fracs[k] if n % 2 == 1 else -fracs[k]
 
     fam = _rotation_family("circle_harmonic", step)

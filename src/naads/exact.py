@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Callable
 
@@ -26,6 +27,13 @@ from .errors import BudgetError, SchemaError
 DENOMINATOR_BIT_BUDGET = 1 << 14
 
 ZERO = None  # assigned after RationalAngle is defined
+
+# The Fraction n/d from coprime ints n and d > 0, without the gcd that
+# Fraction(n, d) takes; the private spelling differs across Python versions.
+if sys.version_info >= (3, 12):
+    _coprime = Fraction._from_coprime_ints
+else:
+    _coprime = partial(Fraction, _normalize=False)
 
 
 def _check_denominator(den: int) -> None:
@@ -64,7 +72,8 @@ class RationalAngle:
 
     def __neg__(self):
         v = self.value
-        return RationalAngle(1 - v if v else v)
+        d = v.denominator
+        return RationalAngle(_coprime(d - v.numerator, d) if v else v)
 
     def __eq__(self, other):
         return isinstance(other, RationalAngle) and self.value == other.value

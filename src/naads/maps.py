@@ -145,7 +145,8 @@ class CircleRotation(Homeomorphism):
             self.angle = a - a.numerator // a.denominator
         else:
             self.angle = float(angle) % 1.0
-        self._angle_float = float(self.angle)
+        a = self.angle  # float(Fraction) is this same correctly rounded int division
+        self._angle_float = a if type(a) is float else a.numerator / a.denominator
         if not math.isnan(self._angle_float):
             self.turns = (self._angle_float,)
 

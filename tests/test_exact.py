@@ -1,5 +1,8 @@
 """Exact rational circle arithmetic: angles, displacement sums, certificates."""
 
+import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from naads import (
     exact_hull_displacements,
     exact_periodicity,
 )
+from naads.exact import _coprime
 
 
 class TestRationalAngle:
@@ -49,6 +53,24 @@ class TestRationalAngle:
     def test_denominator_budget(self):
         with pytest.raises(BudgetError):
             RationalAngle(Fraction(1, 1 << 20000))
+
+    def test_coprime_constructor_matches_fraction(self):
+        rng = random.Random(12)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # str of a 16,400-bit int has about 4,940 digits
+        try:
+            for _ in range(300):
+                d = rng.getrandbits(rng.randint(1, 16400)) + 1
+                n = rng.getrandbits(rng.randint(1, d.bit_length() + 64))
+                g = math.gcd(n, d)
+                n, d = rng.choice((1, -1)) * n // g, d // g
+                f, ref = _coprime(n, d), Fraction(n, d)
+                assert type(f) is Fraction
+                assert (f.numerator, f.denominator) == (ref.numerator, ref.denominator)
+                assert f == ref and hash(f) == hash(ref)
+                assert str(f) == str(ref) and float(f).hex() == float(ref).hex()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestDisplacements:
@@ -107,6 +129,15 @@ class TestDisplacements:
         fam.step(9)
         fam.displacement(9)
         assert sorted(calls) == list(range(1, 10))
+
+    def test_harmonic_budget_boundary(self):
+        # H_11383 is the first harmonic number whose denominator passes the budget
+        exact = corpus("circle_harmonic").exact
+        assert exact.step(22764).value.denominator.bit_length() <= 16384
+        with pytest.raises(BudgetError, match="denominator exceeds 16384 bits"):
+            exact.step(22765)
+        with pytest.raises(BudgetError, match="denominator exceeds 16384 bits"):
+            corpus("circle_harmonic").family.map_at(22765)
 
     def test_corpus_maps_share_the_step_value(self):
         # the float map of a rotation family holds the exact step's Fraction

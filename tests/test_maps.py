@@ -1,6 +1,7 @@
 """Unit tests for the state spaces and the individual map types."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,17 @@ class TestCircleRotation:
         assert CircleRotation(a).angle is a
         assert CircleRotation(Fraction(9, 7)).angle == a
         assert CircleRotation(Fraction(-5, 7)).angle == a
+
+    def test_turns_equal_float_of_the_angle(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            d = rng.getrandbits(rng.choice((8, 64, 1100, 4000))) + 1
+            n = rng.randrange(-3 * d, 3 * d)
+            if rng.random() < 0.5:  # float(n) and float(d) alone would overflow
+                d = (1 << 1100) + rng.getrandbits(1200)
+                n = rng.randrange(1 << 1050, d)
+            r = CircleRotation(Fraction(n, d))
+            assert r.turns[0].hex() == float(r.angle).hex()
 
     def test_inverse_roundtrip(self):
         r = CircleRotation(Fraction(2, 7))

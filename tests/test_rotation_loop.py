@@ -191,5 +191,8 @@ class TestMapList:
         for n in range(1, 3001):
             if n % 2:
                 h += Fraction(1, (n + 1) // 2)
-            assert entry.exact.step(n).value == (h if n % 2 else -h) % 1
-            assert entry.family.map_at(n).angle is entry.exact.step(n).value
+            v, ref = entry.exact.step(n).value, (h if n % 2 else -h) % 1
+            # an unreduced Fraction compares unequal to its reduced twin
+            assert math.gcd(v.numerator, v.denominator) == 1
+            assert v == ref and hash(v) == hash(ref)
+            assert entry.family.map_at(n).angle is v
