@@ -34,7 +34,6 @@ from .flow import (
     block_family,
     hull_sample,
     omega,
-    orbit_window,
 )
 from .maps import (
     CircleRotation,
@@ -135,7 +134,6 @@ __all__ = [
     "net_centers",
     "omega",
     "orbit_density",
-    "orbit_window",
     "periodicity_check",
     "proximal_liminf",
     "r_transitivity_check",

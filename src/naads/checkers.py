@@ -853,6 +853,8 @@ def hull_closure_equality(
     negative configuration: the match can fail there).  Requires
     equicontinuity evidence, short-circuited for declared isometries.
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     if not family.declared_isometric:
         eq = equicontinuity_modulus(family, eps, n_max=25, pair_grid=9)
         if eq.verdict is not Verdict.EVIDENCE_FOR:

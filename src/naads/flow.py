@@ -274,12 +274,6 @@ class FlowCache:
         return [self._memo(x, -m) for m in range(n_max, 0, -1)] + forward
 
 
-def orbit_window(family: MapFamily, x, n_max: int, cache: FlowCache | None = None):
-    """Ordered list of (n, point) for n in [-n_max, n_max]."""
-    cache = cache or FlowCache(family)
-    return list(zip(range(-n_max, n_max + 1), cache.window(x, n_max)))
-
-
 def block_family(family: MapFamily, r: int) -> MapFamily:
     """The family whose k-th map is the composite of the k-th length-r block.
 
@@ -340,10 +334,12 @@ def hull_sample(
     Words are compositions of flow maps at times r in {-order_k, .., order_k}
     (time 0 is the identity and is harmless), at most ``depth`` letters long.
     Each point's 2k + 1 successors come from one flow window, in time order.
-    Deduplication keeps the first representative within dedup_eps: each
-    candidate is tested against a sorted copy of the kept points
-    (space.nearest_distance), so a test costs O(log n) comparisons and at most
-    4 inline distances, and keeping a point costs one O(n) insertion.  Hitting
+    Deduplication keeps the first representative within dedup_eps.  A
+    candidate equal to a kept point (a set lookup) is at distance 0 and is
+    skipped at once; any other is tested against a sorted copy of the kept
+    points (space.nearest_distance), so a test costs O(log n) comparisons and
+    at most 4 inline distances, and keeping a point costs one O(n) insertion.
+    On rotation cycles most candidates are such exact repeats.  Hitting
     ``max_points`` (globally capped by NAADS_BUDGET_POINTS) sets
     budget_exhausted; truncation is reported, never silent.
     """
@@ -354,6 +350,7 @@ def hull_sample(
     space = family.space
     points = [x]
     index = [x]  # the kept points, sorted
+    kept = {x}  # and hashed: equal values (0.5, Fraction(1, 2)) are at distance 0
     frontier = [x]
     exhausted = False
     stabilized = False
@@ -361,7 +358,8 @@ def hull_sample(
         new = []
         for y in frontier:
             for z in cache.window(y, order_k):  # times -order_k..order_k
-                if nearest_distance(space, index, z) >= dedup_eps:
+                if z not in kept and nearest_distance(space, index, z) >= dedup_eps:
+                    kept.add(z)
                     points.append(z)
                     insort(index, z)
                     new.append(z)

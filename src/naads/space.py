@@ -66,21 +66,30 @@ def nearest_distance(space: Space, sorted_points, q):
     ``sorted_points`` is non-empty and ascending.  Rounded subtraction is
     monotone, so |q - p| is least at the sorted neighbours of q and 1 - |q - p|
     at the two extremes: the value equals the full scan bit for bit on floats
-    and exactly on fractions.  Distances are inline: min(d, 1 - d) is 1 - d
-    if 1 - d < d, else d, and the first least candidate is kept, as min keeps it.
+    and exactly on fractions.  The candidates are read in place, with no list
+    built: the left neighbour (or the first point), the right one if q lies
+    inside, then on the circle the first and the last point.  Distances are
+    inline: min(d, 1 - d) is 1 - d if 1 - d < d, else d, and the strict < keeps
+    the first least candidate, as min keeps it.
     """
     i = bisect_left(sorted_points, q)
-    near = sorted_points[i - 1:i + 1] if i else sorted_points[:1]
     circle = space is Space.CIRCLE
-    if circle:
-        near += (sorted_points[0], sorted_points[-1])
-    best = None
-    for p in near:
-        d = abs(q - p)
+    best = abs(q - sorted_points[i - 1 if i else 0])
+    if circle and (e := 1 - best) < best:
+        best = e
+    if 0 < i < len(sorted_points):
+        d = abs(q - sorted_points[i])
         if circle and (e := 1 - d) < d:
             d = e
-        if best is None or d < best:
+        if d < best:
             best = d
+    if circle:
+        for p in sorted_points[0], sorted_points[-1]:
+            d = abs(q - p)
+            if (e := 1 - d) < d:
+                d = e
+            if d < best:
+                best = d
     return best
 
 

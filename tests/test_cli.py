@@ -415,6 +415,13 @@ class TestHostileParameters:
          "horizon must be >= 0"),
         ("circle_harmonic", "hull_periodicity_property", ["x=0.1", "r=2", "horizon=-3"],
          "horizon must be >= 0"),
+        # declared isometries skipped the equicontinuity scan that rejects eps
+        ("circle_ex4", "hull_closure_equality", ["x=0.3", "eps=-1"],
+         "eps must be positive"),
+        ("circle_ex4", "hull_closure_equality", ["x=0.3", "eps=0"],
+         "eps must be positive"),
+        ("identity", "hull_closure_equality", ["x=0.3", "eps=0"],
+         "eps must be positive"),
     ])
     def test_empty_scans_are_usage_errors(self, capsys, family, task, params, message):
         argv = ["--no-timestamp", "check", family, task]
@@ -441,6 +448,12 @@ class TestHostileParameters:
                 "--param", "eps=0.1", "--param", f"delta={delta}"]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: delta must be positive and finite\n"
+
+    # nan does not parse on the command line; the library call rejects it too
+    @pytest.mark.parametrize("family", ["circle_ex4", "example2_powers"])
+    def test_hull_closure_rejects_nan_eps(self, family):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            checkers.hull_closure_equality(corpus(family).family, 0.3, math.nan)
 
     # N = 0 and horizon = 0 stay valid: time 0 alone is scanned
     @pytest.mark.parametrize("task, params", [

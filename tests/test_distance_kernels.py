@@ -60,9 +60,31 @@ class TestDistances:
                          st.lists(frac_pt, min_size=1, max_size=12)))
     @example(space=Space.CIRCLE, q=0.95, pts=[0.02, 0.5])  # the first, across 0
     @example(space=Space.CIRCLE, q=0.05, pts=[0.5, 0.98])  # the last, across 0
+    @example(space=Space.CIRCLE, q=0.01, pts=[0.3, 0.6])  # below every point: i == 0
+    @example(space=Space.CIRCLE, q=0.99, pts=[0.3, 0.6])  # above every point: i == len
+    @example(space=Space.UNIT_INTERVAL, q=1.0, pts=[0.3, 0.6])
+    @example(space=Space.CIRCLE, q=0.7, pts=[0.2])  # one point
+    @example(space=Space.UNIT_INTERVAL, q=Fraction(1, 3), pts=[Fraction(1, 3)])
+    @example(space=Space.CIRCLE, q=0.5, pts=[0.25, 0.5, 0.75])  # q is a point
+    @example(space=Space.CIRCLE, q=-0.0, pts=[0.0, 0.5])
+    @example(space=Space.UNIT_INTERVAL, q=0.0, pts=[-0.0, 0.5])
     def test_nearest_distance_over_both_types(self, space, q, pts):
         got = nearest_distance(space, sorted(pts), q)
         assert repr(got) == repr(min(metric(space, q, p) for p in pts))
+
+    # a mixed list may tie a Fraction and a float distance: the kernel must
+    # return the first least candidate, in the reference's candidate order
+    @given(space=st.sampled_from(list(Space)), q=any_pt,
+           pts=st.lists(any_pt, min_size=1, max_size=12))
+    @example(space=Space.UNIT_INTERVAL, q=0.5, pts=[0.25, Fraction(3, 4)])
+    @example(space=Space.UNIT_INTERVAL, q=0.5, pts=[Fraction(1, 4), 0.75])
+    @example(space=Space.CIRCLE, q=Fraction(1, 2), pts=[0.0, Fraction(1, 4), 0.75])
+    @example(space=Space.CIRCLE, q=0.5, pts=[Fraction(1, 2), 0.5])  # equal, both types
+    @example(space=Space.CIRCLE, q=Fraction(1, 8), pts=[0.0, Fraction(1, 4), 1.0])
+    def test_nearest_distance_on_mixed_lists(self, space, q, pts):
+        pts = sorted(pts)
+        assert repr(nearest_distance(space, pts, q)) == repr(
+            _reference_nearest(space, pts, q))
 
 
 def _reference_nearest(space, sorted_points, q):
@@ -73,16 +95,24 @@ def _reference_nearest(space, sorted_points, q):
     return min([metric(space, q, p) for p in near])
 
 
-def _reference_hull(family, x, order_k, depth, dedup_eps, max_points):
-    """hull_sample with one cache.omega call per word letter and metric calls."""
+def _reference_hull(family, x, order_k, depth, dedup_eps, max_points, tally=None):
+    """hull_sample with one cache.omega call per word letter and metric calls.
+
+    ``tally``, if given, counts the candidates under "candidates" and those
+    equal to a point already kept under "repeats".
+    """
     cap = points_budget(max_points, 4096)
     cache = FlowCache(family)
     points, index, frontier = [x], [x], [x]
+    tally = {} if tally is None else tally
+    tally.update(candidates=0, repeats=0)
     for _ in range(depth):
         new = []
         for y in frontier:
             for r in range(-order_k, order_k + 1):
                 z = cache.omega(r, y)
+                tally["candidates"] += 1
+                tally["repeats"] += any(z == p for p in points)
                 if _reference_nearest(family.space, index, z) >= dedup_eps:
                     points.append(z)
                     insort(index, z)
@@ -139,8 +169,47 @@ class TestHullWindowMatchesOmegaLoop:
                     frac_pt.map(lambda f: f % 1)),
         **hull_args,
     )
+    # exact repeats: a period-2 cycle returns to x and to its first image, as
+    # floats and as Fractions; a Fraction x meets float angles; and at the
+    # least dedup_eps only an exact repeat is rejected
+    @example(angles=[0.3, -0.3], x=0.1, order_k=3, depth=4, dedup_eps=1e-9,
+             max_points=None, env=None)
+    @example(angles=[Fraction(1, 3), Fraction(-1, 3)], x=Fraction(1, 5), order_k=3,
+             depth=4, dedup_eps=1e-9, max_points=None, env=None)
+    @example(angles=[0.5, 0.25], x=Fraction(1, 2), order_k=2, depth=3, dedup_eps=1e-9,
+             max_points=None, env=None)
+    @example(angles=[0.3, -0.3], x=0.1, order_k=2, depth=3, dedup_eps=5e-324,
+             max_points=None, env=None)
+    @example(angles=[0.1, 0.2, 0.3], x=0.0, order_k=2, depth=3, dedup_eps=5e-324,
+             max_points=40, env=None)
     def test_rotation_cycles(self, angles, x, order_k, depth, dedup_eps, max_points, env):
         _check_hull(_cycle(angles), x, order_k, depth, dedup_eps, max_points, env)
+
+    # an exact repeat never reaches the nearest-point kernel; every other
+    # candidate still does
+    @settings(max_examples=30, deadline=None)
+    @given(
+        angles=st.lists(st.one_of(
+            st.fractions(min_value=-1, max_value=1, max_denominator=12),
+            st.sampled_from([0.5, -0.5, 0.25, 0.3, -0.3, 0.1])),
+            min_size=1, max_size=3),
+        x=st.one_of(st.sampled_from([0.0, 0.1, 0.5]), frac_pt.map(lambda f: f % 1)),
+        order_k=st.integers(min_value=1, max_value=4),
+        depth=st.integers(min_value=1, max_value=4),
+        dedup_eps=st.sampled_from([5e-324, 1e-9, 0.05]),
+    )
+    @example(angles=[0.3, -0.3], x=0.1, order_k=3, depth=4, dedup_eps=1e-9)
+    @example(angles=[Fraction(1, 3), Fraction(-1, 3)], x=Fraction(1, 5), order_k=3,
+             depth=4, dedup_eps=1e-9)
+    def test_exact_repeats_skip_the_kernel(self, angles, x, order_k, depth, dedup_eps):
+        family = _cycle(angles)
+        tally = {}
+        with _points_env(None):
+            _reference_hull(family, x, order_k, depth, dedup_eps, None, tally)
+            with mock.patch("naads.flow.nearest_distance",
+                            wraps=nearest_distance) as kernel:
+                hull_sample(family, x, order_k, depth, dedup_eps)
+        assert kernel.call_count == tally["candidates"] - tally["repeats"]
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["example1_tent_sqrt", "example2_powers"]),

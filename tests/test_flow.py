@@ -27,7 +27,6 @@ from naads import (
     hull_sample,
     metric,
     omega,
-    orbit_window,
 )
 
 
@@ -131,13 +130,12 @@ class TestFlowCache:
         for i, n in enumerate(range(-5, 6)):
             assert win[i] == cache.omega(n, 0.1)
 
-    def test_orbit_window(self):
+    def test_window_centre_and_bad_size(self):
         fam = corpus("example2_powers").family
-        pts = orbit_window(fam, 0.5, 3)
-        assert [n for n, _ in pts] == list(range(-3, 4))
-        assert pts[3] == (0, 0.5)
+        win = FlowCache(fam).window(0.5, 3)
+        assert len(win) == 7 and win[3] == 0.5
         with pytest.raises(ValueError):
-            orbit_window(fam, 0.5, -1)
+            FlowCache(fam).window(0.5, -1)
 
 
 class TestPeriodicStore:
