@@ -22,7 +22,6 @@ from .exact import (
     PeriodicityResult,
     RationalAngle,
     RationalRotationFamily,
-    exact_density_gap,
     exact_hull_displacements,
     exact_periodicity,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "diameter",
     "dichotomy_scan",
     "equicontinuity_modulus",
-    "exact_density_gap",
     "exact_hull_displacements",
     "exact_periodicity",
     "format_value",

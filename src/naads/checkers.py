@@ -1,7 +1,8 @@
 """Finite-scale property checkers for non-autonomous flows.
 
 Every checker is a pure function of (family, parameters) returning a
-PropertyReport (or a small result record).  Infinite-time notions can never
+PropertyReport (or a small result record); a report's parameters are the
+record of its call (see _records_call).  Infinite-time notions can never
 be Certified from finite data except through exact rotation structure, so
 most verdicts are EvidenceFor / EvidenceAgainst at the given budget; the
 witness in a report always re-verifies through the flow (see replay_witness).
@@ -13,6 +14,8 @@ positive before negative.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -41,6 +44,38 @@ LI_YORKE_LOW_TOL = 1e-3
 LI_YORKE_HIGH_TOL = 0.3
 
 
+# The public name of a checker parameter, in report records and on the command line.
+PUBLIC_NAME = {"n_max": "N"}
+
+
+def _records_call(checker):
+    """Fill the returned report's ``parameters`` with the call's record.
+
+    The record holds every parameter of ``checker``, passed or defaulted,
+    under its public name, with ``family`` as the family's name.  A value the
+    checker resolves itself (a default ``delta``) it puts in the report, and
+    that value is kept.  The signature is read once, here, not per call.
+    """
+    params = inspect.signature(checker).parameters.values()
+    public = {p.name: PUBLIC_NAME.get(p.name, p.name) for p in params}
+    positional = tuple(public.values())[1:]
+    defaults = {public[p.name]: p.default for p in params if p.default is not p.empty}
+
+    @functools.wraps(checker)
+    def call(family, *args, **kwargs):
+        rep = checker(family, *args, **kwargs)
+        rep.parameters = {
+            **defaults,
+            **dict(zip(positional, args)),
+            **{public[k]: v for k, v in kwargs.items()},
+            "family": family.name,
+            **rep.parameters,
+        }
+        return rep
+
+    return call
+
+
 def _scan_times(n_max: int):
     yield 0
     for n in range(1, n_max + 1):
@@ -52,6 +87,7 @@ def _scan_times(n_max: int):
 # periodicity and return times
 
 
+@_records_call
 def periodicity_check(
     family: MapFamily, x, r: int, horizon: int = 25, tol: float = FLOW_TOL
 ) -> PropertyReport:
@@ -65,7 +101,6 @@ def periodicity_check(
         raise ValueError("period must be >= 1")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    params = {"family": family.name, "x": x, "r": r, "horizon": horizon, "tol": tol}
     cache = FlowCache(family)
 
     if family.exact is not None:
@@ -77,7 +112,6 @@ def periodicity_check(
             return PropertyReport(
                 "periodicity",
                 Verdict.CERTIFIED,
-                params,
                 details={"max_deviation": max_dev, "mode": "exact"},
             )
         n = res.witness_time
@@ -85,7 +119,6 @@ def periodicity_check(
         return PropertyReport(
             "periodicity",
             Verdict.REFUTED,
-            params,
             witnesses=[Witness("point_return", (x,), (n,), (dev,))],
             details={
                 "mode": "exact",
@@ -101,7 +134,6 @@ def periodicity_check(
                 return PropertyReport(
                     "periodicity",
                     Verdict.REFUTED,
-                    params,
                     witnesses=[Witness("point_return", (x,), (n,), (dev,))],
                     details={"mode": "float"},
                 )
@@ -109,7 +141,6 @@ def periodicity_check(
     return PropertyReport(
         "periodicity",
         Verdict.EVIDENCE_FOR,
-        params,
         details={"max_deviation": max_dev, "mode": "float"},
     )
 
@@ -143,6 +174,7 @@ def _gap_bound(rts: ReturnTimeSet) -> int:
     return max(rts.max_internal_gap, rts.censored_left_gap, rts.censored_right_gap)
 
 
+@_records_call
 def almost_periodicity_report(
     family: MapFamily, x, eps, n_max: int
 ) -> PropertyReport:
@@ -152,7 +184,6 @@ def almost_periodicity_report(
     periodicity; a growing (censored) gap is evidence against -- a finite
     window cannot certify unboundedness, so the trend is the signal.
     """
-    params = {"family": family.name, "x": x, "eps": eps, "N": n_max}
     cache = FlowCache(family)
     windows = [n_max, 2 * n_max, 4 * n_max]
     gaps = [_gap_bound(_return_times(cache, x, eps, w)) for w in windows]
@@ -161,24 +192,22 @@ def almost_periodicity_report(
         return PropertyReport(
             "almost_periodicity",
             Verdict.EVIDENCE_AGAINST,
-            params,
             details={"trend": trend},
         )
     return PropertyReport(
         "almost_periodicity",
         Verdict.EVIDENCE_FOR,
-        params,
         details={"M": gaps[2], "trend": trend},
     )
 
 
+@_records_call
 def uniform_ap_report(
     family: MapFamily, eps, n_max: int, grid_size: int = 64
 ) -> PropertyReport:
     """One syndetic bound M for every grid point, or the worst offender."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    params = {"family": family.name, "eps": eps, "N": n_max, "grid_size": grid_size}
     cache = FlowCache(family)
     worst_m = 0
     for g in uniform_grid(family.space, grid_size):
@@ -188,14 +217,12 @@ def uniform_ap_report(
             return PropertyReport(
                 "uniform_almost_periodicity",
                 Verdict.EVIDENCE_AGAINST,
-                params,
                 details={"worst_point": g, "gap_trend": [(n_max, g1), (2 * n_max, g2)]},
             )
         worst_m = max(worst_m, g2)
     return PropertyReport(
         "uniform_almost_periodicity",
         Verdict.EVIDENCE_FOR,
-        params,
         details={"M": worst_m},
     )
 
@@ -247,6 +274,7 @@ def _first_far_time(space: Space, cache: FlowCache, a, b, w: int, eps, done: int
         done, m = m, min(w, 2 * m)
 
 
+@_records_call
 def equicontinuity_modulus(
     family: MapFamily, eps, n_max: int = 50, pair_grid: int = 17
 ) -> PropertyReport:
@@ -257,13 +285,12 @@ def equicontinuity_modulus(
     N, 2N, 4N: a strictly shrinking trend (or no passing candidate) is
     evidence against equicontinuity.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects eps = nan
         raise ValueError("eps must be positive")
     if n_max < 0:
         raise ValueError("window size must be >= 0")
     if 4 * n_max > family.horizon:  # no window may reach past the family
         raise BudgetError(f"time {4 * n_max} exceeds horizon {family.horizon}")
-    params = {"family": family.name, "eps": eps, "N": n_max, "pair_grid": pair_grid}
     space = family.space
     cache = FlowCache(family)
     grid_pts = uniform_grid(space, pair_grid)
@@ -301,7 +328,7 @@ def equicontinuity_modulus(
         a, b, n, d = witness
         witnesses = [Witness("pair_orbit", (a, b), (n,), (d,))]
     verdict = Verdict.EVIDENCE_AGAINST if shrinking else Verdict.EVIDENCE_FOR
-    return PropertyReport("equicontinuity", verdict, params, witnesses, details)
+    return PropertyReport("equicontinuity", verdict, witnesses=witnesses, details=details)
 
 
 def proximal_liminf(family: MapFamily, x, y, n_max: int) -> ProximalExtremes:
@@ -323,6 +350,7 @@ def proximal_liminf(family: MapFamily, x, y, n_max: int) -> ProximalExtremes:
     return ProximalExtremes(best, t_best, worst, t_worst)
 
 
+@_records_call
 def li_yorke_classify(
     family: MapFamily,
     x,
@@ -334,22 +362,13 @@ def li_yorke_classify(
     """Evidence that (x, y) gets both low_tol-close and high_tol-separated."""
     if n_max < 0:
         raise ValueError("window size must be >= 0")
-    if low_tol >= high_tol:
+    if not low_tol < high_tol:  # also rejects a nan tolerance
         raise ValueError("low_tol must be below high_tol")
-    params = {
-        "family": family.name,
-        "x": x,
-        "y": y,
-        "N": n_max,
-        "low_tol": low_tol,
-        "high_tol": high_tol,
-    }
     ext = proximal_liminf(family, x, y, n_max)
     ok = ext.min_distance < low_tol and ext.max_distance > high_tol
     return PropertyReport(
         "li_yorke_pair",
         Verdict.EVIDENCE_FOR if ok else Verdict.EVIDENCE_AGAINST,
-        params,
         witnesses=[
             Witness(
                 "pair_orbit",
@@ -375,6 +394,7 @@ def _ball_samples(space: Space, x, radius, count: int):
     return pts
 
 
+@_records_call
 def sensitivity_at_point(
     family: MapFamily,
     x,
@@ -397,14 +417,6 @@ def sensitivity_at_point(
         delta = diameter(space) / 4
     if not 0 < delta < math.inf:  # also rejects delta = nan
         raise ValueError("delta must be positive and finite")
-    params = {
-        "family": family.name,
-        "x": x,
-        "delta": delta,
-        "radii": list(radii),
-        "samples": samples,
-        "N": n_max,
-    }
     cache = FlowCache(family)
     witnesses = []
     for radius in radii:
@@ -435,12 +447,12 @@ def sensitivity_at_point(
             return PropertyReport(
                 "sensitivity_at_point",
                 Verdict.EVIDENCE_AGAINST,
-                params,
+                {"delta": delta},
                 details={"unexpanded_radius": radius},
             )
         witnesses.append(hit)
     return PropertyReport(
-        "sensitivity_at_point", Verdict.EVIDENCE_FOR, params, witnesses
+        "sensitivity_at_point", Verdict.EVIDENCE_FOR, {"delta": delta}, witnesses
     )
 
 
@@ -470,26 +482,24 @@ def _eps_dense(cache: FlowCache, x, eps, n_max: int):
     return worst_d <= eps, worst_c, worst_d, worst_t
 
 
+@_records_call
 def orbit_density(family: MapFamily, x, eps, n_max: int) -> PropertyReport:
     """Is the orbit window [-N, N] of x eps-dense in the space?"""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    params = {"family": family.name, "x": x, "eps": eps, "N": n_max}
     dense, c, d, t = _eps_dense(FlowCache(family), x, eps, n_max)
     details = {"max_center_distance": d, "worst_center": c}
     if dense:
-        return PropertyReport(
-            "orbit_density", Verdict.EVIDENCE_FOR, params, details=details
-        )
+        return PropertyReport("orbit_density", Verdict.EVIDENCE_FOR, details=details)
     return PropertyReport(
         "orbit_density",
         Verdict.EVIDENCE_AGAINST,
-        params,
         witnesses=[Witness("point_target", (x, c), (t,), (d,))],
         details=details,
     )
 
 
+@_records_call
 def transitivity_scan(
     family: MapFamily, eps, n_max: int, grid: int = 16
 ) -> PropertyReport:
@@ -503,7 +513,6 @@ def transitivity_scan(
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    params = {"family": family.name, "eps": eps, "N": n_max, "grid": grid}
     space = family.space
     cache = FlowCache(family)
 
@@ -543,9 +552,10 @@ def transitivity_scan(
         verdict = Verdict.EVIDENCE_AGAINST
     else:
         verdict = Verdict.INCONCLUSIVE_BUDGET
-    return PropertyReport("transitivity", verdict, params, details=details)
+    return PropertyReport("transitivity", verdict, details=details)
 
 
+@_records_call
 def r_transitivity_check(
     family: MapFamily, r: int, eps=0.05, n_max: int = 120, grid: int = 16
 ) -> PropertyReport:
@@ -556,19 +566,15 @@ def r_transitivity_check(
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    blocks = block_family(family, r)
-    rep = transitivity_scan(blocks, eps, n_max, grid)
-    rep.property = "r_transitivity"
-    rep.parameters = dict(rep.parameters)
-    rep.parameters["family"] = family.name
-    rep.parameters["r"] = r
+    rep = transitivity_scan(block_family(family, r), eps, n_max, grid)
     if family.exact is not None:
         probe = min(n_max, 200)
         # block k is disp(kr) - disp((k-1)r), so all blocks vanish iff every disp(kr) does
         identity = exact_periodicity(family.exact, r, probe).certified
         rep.details["identity_blocks"] = identity
         rep.details["identity_block_probe"] = probe
-    return rep
+    return PropertyReport("r_transitivity", rep.verdict, witnesses=rep.witnesses,
+                          details=rep.details)
 
 
 def _hull_meets_all(space, points, centers, eps):
@@ -604,6 +610,7 @@ def _exact_cover_miss(hull, grid: int, m: int, eps):
     return None
 
 
+@_records_call
 def minimality_certificate(
     family: MapFamily,
     eps,
@@ -623,13 +630,6 @@ def minimality_certificate(
         raise ValueError("bad minimality parameters")
     if not eps < math.inf:  # NaN or inf: no finite net to cover
         raise ValueError("eps must be positive and finite")
-    params = {
-        "family": family.name,
-        "eps": eps,
-        "order_cap": order_cap,
-        "depth": depth,
-        "grid": grid,
-    }
 
     if family.exact is not None and family.space is Space.CIRCLE:
         m = net_size(eps)
@@ -641,7 +641,6 @@ def minimality_certificate(
                 return PropertyReport(
                     "minimality",
                     Verdict.CERTIFIED,
-                    params,
                     details={
                         "k": k,
                         "mode": "exact",
@@ -654,13 +653,12 @@ def minimality_certificate(
             return PropertyReport(
                 "minimality",
                 Verdict.REFUTED,
-                params,
                 witnesses=[Witness("hull_miss", (float(x), float(c)), (), (float(dmin),),
                                    note=f"order_k={order_cap}")],
                 details={"mode": "exact"},
             )
         return PropertyReport(
-            "minimality", Verdict.INCONCLUSIVE_BUDGET, params, details={"mode": "exact"})
+            "minimality", Verdict.INCONCLUSIVE_BUDGET, details={"mode": "exact"})
 
     space = family.space
     centers = net_centers(space, eps)
@@ -677,7 +675,6 @@ def minimality_certificate(
                 return PropertyReport(
                     "minimality",
                     Verdict.REFUTED,
-                    params,
                     witnesses=[
                         Witness(
                             "hull_miss",
@@ -704,11 +701,10 @@ def minimality_certificate(
             return PropertyReport(
                 "minimality",
                 Verdict.EVIDENCE_FOR,
-                params,
                 details={"k": k, "mode": "float"},
             )
     return PropertyReport(
-        "minimality", Verdict.INCONCLUSIVE_BUDGET, params, details={"mode": "float"}
+        "minimality", Verdict.INCONCLUSIVE_BUDGET, details={"mode": "float"}
     )
 
 
@@ -724,6 +720,7 @@ def _require_commutative(family: MapFamily, op: str):
         )
 
 
+@_records_call
 def hull_periodicity_property(
     family: MapFamily,
     x,
@@ -751,15 +748,6 @@ def hull_periodicity_property(
         raise PreconditionError(
             f"base point {x!r} is not period-{r} at horizon {horizon}"
         )
-    params = {
-        "family": family.name,
-        "x": x,
-        "r": r,
-        "order_k": order_k,
-        "depth": depth,
-        "horizon": horizon,
-        "tol": tol,
-    }
     cache = FlowCache(family)
     hs = hull_sample(family, x, order_k, depth, cache=cache)
     # a Certified base is exact and point-free; it covers every hull point
@@ -770,18 +758,17 @@ def hull_periodicity_property(
                 return PropertyReport(
                     "hull_periodicity",
                     Verdict.REFUTED,
-                    params,
                     witnesses=list(rep.witnesses),
                     details={"failing_point": p, "hull_size": len(hs.points)},
                 )
     return PropertyReport(
         "hull_periodicity",
         Verdict.EVIDENCE_FOR,
-        params,
         details={"hull_size": len(hs.points), "failing_points": 0},
     )
 
 
+@_records_call
 def ap_propagation_check(
     family: MapFamily,
     x,
@@ -801,14 +788,6 @@ def ap_propagation_check(
         raise PreconditionError(
             f"base point {x!r} shows no almost-periodicity evidence at eps={eps}"
         )
-    params = {
-        "family": family.name,
-        "x": x,
-        "eps": eps,
-        "N": n_max,
-        "order_k": order_k,
-        "depth": depth,
-    }
     cache = FlowCache(family)
     hs = hull_sample(family, x, order_k, depth, cache=cache)
     bounds = []
@@ -818,14 +797,12 @@ def ap_propagation_check(
             return PropertyReport(
                 "almost_periodicity_propagation",
                 Verdict.EVIDENCE_AGAINST,
-                params,
                 details={"failing_point": p, "hull_size": len(hs.points)},
             )
         bounds.append(rep.details["M"])
     return PropertyReport(
         "almost_periodicity_propagation",
         Verdict.EVIDENCE_FOR,
-        params,
         details={"common_M": max(bounds), "hull_size": len(hs.points)},
     )
 
@@ -837,6 +814,7 @@ def _hausdorff(space: Space, a_pts, b_pts) -> float:
     return max(d_ab, d_ba)
 
 
+@_records_call
 def hull_closure_equality(
     family: MapFamily,
     x,
@@ -861,15 +839,6 @@ def hull_closure_equality(
             raise PreconditionError(
                 f"{family.name!r} shows no equicontinuity evidence at eps={eps}"
             )
-    params = {
-        "family": family.name,
-        "x": x,
-        "eps": eps,
-        "N": n_max,
-        "order_k": order_k,
-        "depth": depth,
-        "y": y,
-    }
     cache = FlowCache(family)
     hx = hull_sample(family, x, order_k, depth, cache=cache)
     if y is not None:
@@ -892,9 +861,10 @@ def hull_closure_equality(
         "hull_size": len(hx.points),
     }
     verdict = Verdict.EVIDENCE_FOR if worst_d <= eps else Verdict.EVIDENCE_AGAINST
-    return PropertyReport("hull_closure_equality", verdict, params, details=details)
+    return PropertyReport("hull_closure_equality", verdict, details=details)
 
 
+@_records_call
 def dichotomy_scan(
     family: MapFamily,
     eps,
@@ -917,15 +887,6 @@ def dichotomy_scan(
         delta = diameter(space) / 4
     if not 0 < delta < math.inf:  # before the modulus scan, as sensitivity_at_point would
         raise ValueError("delta must be positive and finite")
-    params = {
-        "family": family.name,
-        "eps": eps,
-        "delta": delta,
-        "grid": grid,
-        "order_k": order_k,
-        "depth": depth,
-        "N": n_max,
-    }
     eq = equicontinuity_modulus(family, eps, n_max=n_max, pair_grid=9)
 
     radii = (eps, eps / 4)
@@ -963,7 +924,7 @@ def dichotomy_scan(
         verdict = Verdict.EVIDENCE_FOR
     else:
         verdict = Verdict.INCONCLUSIVE_BUDGET
-    return PropertyReport("dichotomy", verdict, params, details=details)
+    return PropertyReport("dichotomy", verdict, {"delta": delta}, details=details)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ accepted as "p/q" strings so exact tasks never pass through floats.
 Each task is the checker of that name.  Its parameter names, required
 parameters and defaults are read from the checker's signature; the one
 public rename is ``N`` for ``n_max``.  A task accepts its checker's
-parameters and the ones its requested outputs read, and nothing else.
+parameters and the ones its requested outputs read, and nothing else.  A
+report's ``param.*`` lines are the checker's call record under the same
+public names: every checker parameter, passed or defaulted, and the family.
 
 Exit codes: 0 verdict matches (or no expectation), 1 expectation mismatch,
 2 inconclusive-at-budget / budget abort, 64 usage or schema errors
@@ -129,7 +131,6 @@ _COERCE = {
                      "samples", "order_cap", "order_k", "depth"), _int),
     "radii": _radii,
 }
-_PUBLIC_NAME = {"n_max": "N"}
 # minimality_certificate decides its cover in exact arithmetic
 _EXACT_PARAMS = {("minimality_certificate", "eps"): _rat}
 
@@ -148,7 +149,7 @@ class _Task:
         _family, *args = inspect.signature(getattr(checkers, name)).parameters.values()
         # public name -> (checker parameter, coercion, required)
         self.spec = {
-            _PUBLIC_NAME.get(p.name, p.name): (
+            checkers.PUBLIC_NAME.get(p.name, p.name): (
                 p.name,
                 _EXACT_PARAMS.get((name, p.name)) or _COERCE[p.name],
                 p.default is p.empty,

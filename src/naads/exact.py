@@ -307,18 +307,3 @@ def exact_hull_displacements(
         stabilized=stabilized,
     )
 
-
-def exact_density_gap(angles) -> Fraction:
-    """Maximum circular gap between consecutive angles, as an exact rational.
-
-    A single angle leaves the whole circle as its gap.
-    """
-    values = sorted(a.value if isinstance(a, RationalAngle) else Fraction(a) % 1
-                    for a in angles)
-    if not values:
-        raise ValueError("need at least one angle")
-    if len(values) == 1:
-        return Fraction(1)
-    gaps = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    gaps.append(1 - values[-1] + values[0])
-    return max(gaps)

@@ -80,7 +80,7 @@ def _field_pairs(record):
 class PropertyReport:
     property: str
     verdict: Verdict
-    parameters: dict
+    parameters: dict = field(default_factory=dict)
     witnesses: list[Witness] = field(default_factory=list)
     details: dict = field(default_factory=dict)
 

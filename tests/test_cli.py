@@ -6,12 +6,13 @@ import io
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naads import CORPUS_NAMES, checkers, corpus
+from naads import CORPUS_NAMES, PropertyReport, checkers, corpus
 from naads.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
@@ -455,6 +456,19 @@ class TestHostileParameters:
         with pytest.raises(ValueError, match="^eps must be positive$"):
             checkers.hull_closure_equality(corpus(family).family, 0.3, math.nan)
 
+    # nan does not parse on the command line; a library call must not get a verdict
+    @pytest.mark.parametrize("family", ["circle_harmonic", "example2_powers"])
+    def test_equicontinuity_rejects_nan_eps(self, family):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            checkers.equicontinuity_modulus(corpus(family).family, math.nan)
+
+    # a nan tolerance orders below nothing, so no verdict can rest on it
+    @pytest.mark.parametrize("tols", [{"low_tol": math.nan}, {"high_tol": math.nan}])
+    def test_li_yorke_rejects_nan_tolerance(self, tols):
+        family = corpus("example2_powers").family
+        with pytest.raises(ValueError, match="^low_tol must be below high_tol$"):
+            checkers.li_yorke_classify(family, 0.3, 0.6, 10, **tols)
+
     # N = 0 and horizon = 0 stay valid: time 0 alone is scanned
     @pytest.mark.parametrize("task, params", [
         ("equicontinuity_modulus", ["eps=0.1", "N=0"]),
@@ -487,6 +501,53 @@ _TASK_PARAMS = {
     "hull_closure_equality": ("x", "eps", "N", "order_k", "depth", "y"),
     "dichotomy_scan": ("eps", "delta", "grid", "order_k", "depth", "N"),
 }
+
+# Small public parameters under which every task runs on circle_ex4.
+_RECORD_PARAMS = {
+    "periodicity_check": {"x": 0.3, "r": 2, "horizon": 5},
+    "return_time_set": {"x": 0.3, "eps": 0.1, "N": 10},
+    "almost_periodicity_report": {"x": 0.3, "eps": 0.1, "N": 10},
+    "uniform_ap_report": {"eps": 0.1, "N": 10, "grid_size": 4},
+    "equicontinuity_modulus": {"eps": 0.1, "N": 5, "pair_grid": 3},
+    "proximal_liminf": {"x": 0.1, "y": 0.6, "N": 10},
+    "li_yorke_classify": {"x": 0.1, "y": 0.6, "N": 10},
+    "sensitivity_at_point": {"x": 0.3, "samples": 4, "N": 10},
+    "orbit_density": {"x": 0.3, "eps": 0.1, "N": 10},
+    "transitivity_scan": {"eps": 0.2, "N": 10, "grid": 4},
+    "r_transitivity_check": {"r": 2, "eps": 0.2, "N": 10, "grid": 4},
+    "minimality_certificate": {"eps": Fraction(1, 4), "order_cap": 2, "depth": 2},
+    "hull_periodicity_property": {"x": 0.3, "r": 2, "order_k": 2, "depth": 2,
+                                  "horizon": 5},
+    "ap_propagation_check": {"x": 0.3, "eps": 0.1, "N": 10, "order_k": 2, "depth": 2},
+    "hull_closure_equality": {"x": 0.3, "eps": 0.1, "N": 10, "order_k": 2, "depth": 2},
+    "dichotomy_scan": {"eps": 0.1, "grid": 2, "order_k": 1, "depth": 1, "N": 5},
+}
+
+
+# A report's parameters are its checker's call record: every task parameter
+# under its public name, passed or defaulted, and the family's name.
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_report_parameters_record_the_call(task):
+    family = corpus("circle_ex4").family
+    passed = _RECORD_PARAMS[task]
+    result = TASKS[task](family, passed)
+    if not isinstance(result, PropertyReport):
+        assert task in ("return_time_set", "proximal_liminf")
+        return
+    record = result.parameters
+    assert set(record) == {"family", *TASKS[task].params}
+    assert record["family"] == family.name
+    assert {key: record[key] for key in passed} == passed
+
+    # the same call spelled positionally and by keyword, every argument given
+    checker = getattr(checkers, task)
+    names = [arg for arg, _coerce, _required in TASKS[task].spec.values()]
+    values = [record[public] for public in TASKS[task].spec]
+    by_position = checker(family, *values)
+    by_keyword = checker(family, **dict(zip(names, values)))
+    assert by_position.parameters == by_keyword.parameters == record
+    assert by_position == by_keyword == result
+
 
 _HOSTILE = ("", "abc", "1/0", "-3", "0", "inf", "-inf", "nan", str(10 ** 30), str(2 ** 64))
 
@@ -605,6 +666,55 @@ witness.2.points: [0.0, 0.01]
 witness.2.times: [10]
 witness.2.distances: [0.2575102137227089]
 witness.2.note: radius=0.01
+""",
+    # no benchmark job runs these two, so nothing else freezes their param lines
+    ("circle_ex4", "almost_periodicity_report", ("x=0.3", "eps=0.1", "N=20")): """\
+family: circle_ex4
+task: almost_periodicity_report
+schema: naads-report/1
+{ts}property: almost_periodicity
+verdict: EvidenceFor
+param.N: 20
+param.eps: 0.1
+param.family: circle_ex4
+param.x: 0.3
+detail.M: 2
+detail.trend: [[20, 2], [40, 2], [80, 2]]
+""",
+    ("circle_ex4", "ap_propagation_check",
+     ("x=0.3", "eps=0.1", "N=20", "order_k=2", "depth=2")): """\
+family: circle_ex4
+task: ap_propagation_check
+schema: naads-report/1
+{ts}property: almost_periodicity_propagation
+verdict: EvidenceFor
+param.N: 20
+param.depth: 2
+param.eps: 0.1
+param.family: circle_ex4
+param.order_k: 2
+param.x: 0.3
+detail.common_M: 2
+detail.hull_size: 2
+""",
+    # an explicit y, which the benchmark jobs leave at its default
+    ("circle_ex4", "hull_closure_equality",
+     ("x=0.3", "eps=0.1", "y=0.5", "order_k=2", "depth=2")): """\
+family: circle_ex4
+task: hull_closure_equality
+schema: naads-report/1
+{ts}property: hull_closure_equality
+verdict: EvidenceAgainst
+param.N: 40
+param.depth: 2
+param.eps: 0.1
+param.family: circle_ex4
+param.order_k: 2
+param.x: 0.3
+param.y: 0.5
+detail.hausdorff_distance: 0.2
+detail.hull_size: 2
+detail.worst_orbit_point: 0.5
 """,
     ("circle_settling", "return_time_set", ("x=0", "eps=0.3", "N=8")): """\
 family: circle_settling

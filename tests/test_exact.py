@@ -12,7 +12,6 @@ from naads import (
     RationalAngle,
     RationalRotationFamily,
     corpus,
-    exact_density_gap,
     exact_hull_displacements,
     exact_periodicity,
 )
@@ -198,19 +197,3 @@ class TestExactHull:
         assert hull.budget_exhausted
         assert len(hull.angles) <= 3
 
-
-class TestDensityGap:
-    def test_uniform_multiples(self):
-        angles = [RationalAngle(Fraction(m, 8)) for m in range(8)]
-        assert exact_density_gap(angles) == Fraction(1, 8)
-
-    def test_singleton_gap_is_whole_circle(self):
-        assert exact_density_gap([RationalAngle(0)]) == 1
-
-    def test_wraparound_gap(self):
-        angles = [Fraction(1, 10), Fraction(2, 10), Fraction(9, 10)]
-        assert exact_density_gap(angles) == Fraction(7, 10)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            exact_density_gap([])

@@ -21,7 +21,6 @@ from naads import (
     Verdict,
     corpus,
     equicontinuity_modulus,
-    exact_density_gap,
     hull_periodicity_property,
     hull_sample,
     li_yorke_classify,
@@ -168,11 +167,6 @@ class TestExactInvariants:
         d = x.distance(y)
         assert 0 <= d <= Fraction(1, 2)
         assert abs(float(d) - metric(Space.CIRCLE, float(x), float(y))) < 1e-12
-
-    @given(q=st.integers(min_value=1, max_value=60))
-    def test_density_gap_of_uniform_subgroup(self, q):
-        angles = [RationalAngle(Fraction(m, q)) for m in range(q)]
-        assert exact_density_gap(angles) == Fraction(1, q)
 
 
 class TestFlowInvariants:
