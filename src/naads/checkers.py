@@ -23,7 +23,7 @@ from itertools import repeat
 
 from .errors import BudgetError, PreconditionError
 from .exact import exact_hull_displacements, exact_periodicity
-from .flow import FlowCache, MapFamily, block_family, hull_sample, omega
+from .flow import FlowCache, MapFamily, block_family, hull_sample
 from .report import ProximalExtremes, PropertyReport, ReturnTimeSet, Verdict, Witness
 from .space import (
     Space,
@@ -145,11 +145,11 @@ def periodicity_check(
     )
 
 
-def _return_times(cache: FlowCache, x, eps, n_max: int) -> ReturnTimeSet:
+def return_time_set(family: MapFamily, x, eps, n_max: int) -> ReturnTimeSet:
+    """Times |n| <= n_max with d(omega_n(x), x) < eps, plus gap statistics."""
     if not eps > 0 or n_max < 1:  # also rejects eps = nan
         raise ValueError("need eps > 0 and window >= 1")
-    space = cache.family.space
-    row = distances(space, cache.window(x, n_max), repeat(x))
+    row = distances(family.space, FlowCache(family).window(x, n_max), repeat(x))
     times = [n for n, d in zip(range(-n_max, n_max + 1), row) if d < eps]
     internal = max(
         (b - a for a, b in zip(times, times[1:])), default=0
@@ -163,11 +163,6 @@ def _return_times(cache: FlowCache, x, eps, n_max: int) -> ReturnTimeSet:
         censored_left_gap=times[0] + n_max,
         censored_right_gap=n_max - times[-1],
     )
-
-
-def return_time_set(family: MapFamily, x, eps, n_max: int) -> ReturnTimeSet:
-    """Times |n| <= n_max with d(omega_n(x), x) < eps, plus gap statistics."""
-    return _return_times(FlowCache(family), x, eps, n_max)
 
 
 def _gap_bound(rts: ReturnTimeSet) -> int:
@@ -184,9 +179,8 @@ def almost_periodicity_report(
     periodicity; a growing (censored) gap is evidence against -- a finite
     window cannot certify unboundedness, so the trend is the signal.
     """
-    cache = FlowCache(family)
     windows = [n_max, 2 * n_max, 4 * n_max]
-    gaps = [_gap_bound(_return_times(cache, x, eps, w)) for w in windows]
+    gaps = [_gap_bound(return_time_set(family, x, eps, w)) for w in windows]
     trend = list(zip(windows, gaps))
     if gaps[2] > gaps[0]:
         return PropertyReport(
@@ -208,11 +202,10 @@ def uniform_ap_report(
     """One syndetic bound M for every grid point, or the worst offender."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    cache = FlowCache(family)
     worst_m = 0
     for g in uniform_grid(family.space, grid_size):
-        g1 = _gap_bound(_return_times(cache, g, eps, n_max))
-        g2 = _gap_bound(_return_times(cache, g, eps, 2 * n_max))
+        g1 = _gap_bound(return_time_set(family, g, eps, n_max))
+        g2 = _gap_bound(return_time_set(family, g, eps, 2 * n_max))
         if g2 > g1:
             return PropertyReport(
                 "uniform_almost_periodicity",
@@ -246,18 +239,19 @@ def _nearby_pairs(space: Space, grid_pts, delta):
     return pairs
 
 
-def _first_far_time(space: Space, cache: FlowCache, a, b, w: int, eps, done: int = -1):
+def _first_far_time(family: MapFamily, a, b, w: int, eps, done: int = -1):
     """First (n, d) in _scan_times(w) order with d(omega_n a, omega_n b) >= eps.
 
     None if the pair stays eps-close for |n| <= w.  Times with |n| <= done
     are known to be close and are skipped.  The pair's windows grow by
     doubling, so a pair that separates at time n costs flow values and
     distances up to about 2|n|, and one that stays close costs a few window
-    slices and distance rows instead of two cache.omega calls per time.
+    slices and distance rows instead of two FlowCache.omega calls per time.
     """
+    space, window = family.space, FlowCache(family).window
     m = min(w, max(8, 2 * done))
     while True:
-        wa, wb = cache.window(a, m), cache.window(b, m)
+        wa, wb = window(a, m), window(b, m)
         lo, end = m + done + 1, m - max(done, 0)  # index i holds time i - m
         up = distances(space, wa[lo:], wb[lo:])  # times done + 1..m
         down = distances(space, wa[:end], wb[:end])  # times -m..-max(done + 1, 1)
@@ -292,7 +286,6 @@ def equicontinuity_modulus(
     if 4 * n_max > family.horizon:  # no window may reach past the family
         raise BudgetError(f"time {4 * n_max} exceeds horizon {family.horizon}")
     space = family.space
-    cache = FlowCache(family)
     grid_pts = uniform_grid(space, pair_grid)
     candidates = [eps / 2 ** i for i in range(21)]
     windows = [n_max, 2 * n_max, 4 * n_max]
@@ -309,7 +302,7 @@ def equicontinuity_modulus(
             for a, b in _nearby_pairs(space, grid_pts, delta):
                 done, far = scanned.get((a, b), (-1, None))
                 if far is None and done < w:
-                    far = _first_far_time(space, cache, a, b, w, eps, done)
+                    far = _first_far_time(family, a, b, w, eps, done)
                     scanned[(a, b)] = (w, far)
                 if far is not None:
                     fail = (a, b, *far)
@@ -410,7 +403,7 @@ def sensitivity_at_point(
     refusal is conservative.  delta defaults to a quarter of the space
     diameter.
     """
-    if samples < 2 or any(r <= 0 for r in radii):
+    if samples < 2 or any(not r > 0 for r in radii):  # also rejects r = nan
         raise ValueError("need samples >= 2 and positive radii")
     space = family.space
     if delta is None:
@@ -460,7 +453,7 @@ def sensitivity_at_point(
 # density, transitivity, minimality
 
 
-def _eps_dense(cache: FlowCache, x, eps, n_max: int):
+def _eps_dense(family: MapFamily, x, eps, n_max: int):
     """Check the orbit window of x against a ceil(1/eps)-uniform net.
 
     Returns (dense, worst_center, worst_distance, worst_time) where the worst
@@ -469,8 +462,8 @@ def _eps_dense(cache: FlowCache, x, eps, n_max: int):
     """
     if n_max < 0:
         raise ValueError("window size must be >= 0")
-    space = cache.family.space
-    window = cache.window(x, n_max)
+    space = family.space
+    window = FlowCache(family).window(x, n_max)
     index = sorted(window)
     worst_c, worst_d = None, -1.0
     for c in net_centers(space, eps):
@@ -487,7 +480,7 @@ def orbit_density(family: MapFamily, x, eps, n_max: int) -> PropertyReport:
     """Is the orbit window [-N, N] of x eps-dense in the space?"""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    dense, c, d, t = _eps_dense(FlowCache(family), x, eps, n_max)
+    dense, c, d, t = _eps_dense(family, x, eps, n_max)
     details = {"max_center_distance": d, "worst_center": c}
     if dense:
         return PropertyReport("orbit_density", Verdict.EVIDENCE_FOR, details=details)
@@ -518,7 +511,7 @@ def transitivity_scan(
 
     dense_point = None
     for g in uniform_grid(space, grid):
-        dense, _, _, _ = _eps_dense(cache, g, eps, n_max)
+        dense, _, _, _ = _eps_dense(family, g, eps, n_max)
         if dense:
             dense_point = g
             break
@@ -663,10 +656,9 @@ def minimality_certificate(
     space = family.space
     centers = net_centers(space, eps)
     grid_pts = uniform_grid(space, grid)
-    cache = FlowCache(family)
     full = {}
     for x in grid_pts:
-        hs = hull_sample(family, x, order_cap, depth, cache=cache)
+        hs = hull_sample(family, x, order_cap, depth)
         full[x] = hs
         if hs.stabilized and not hs.budget_exhausted:
             missed = _hull_meets_all(space, hs.points, centers, eps)
@@ -687,13 +679,8 @@ def minimality_certificate(
                     details={"mode": "float", "hull_size": len(hs.points)},
                 )
     for k in range(1, order_cap + 1):
-        hulls = (
-            full
-            if k == order_cap
-            else {
-                x: hull_sample(family, x, k, depth, cache=cache) for x in grid_pts
-            }
-        )
+        hulls = full if k == order_cap else {
+            x: hull_sample(family, x, k, depth) for x in grid_pts}
         if all(
             _hull_meets_all(space, hulls[x].points, centers, eps) is None
             for x in grid_pts
@@ -748,8 +735,7 @@ def hull_periodicity_property(
         raise PreconditionError(
             f"base point {x!r} is not period-{r} at horizon {horizon}"
         )
-    cache = FlowCache(family)
-    hs = hull_sample(family, x, order_k, depth, cache=cache)
+    hs = hull_sample(family, x, order_k, depth)
     # a Certified base is exact and point-free; it covers every hull point
     if base.verdict is Verdict.EVIDENCE_FOR:
         for p in hs.points:
@@ -788,8 +774,7 @@ def ap_propagation_check(
         raise PreconditionError(
             f"base point {x!r} shows no almost-periodicity evidence at eps={eps}"
         )
-    cache = FlowCache(family)
-    hs = hull_sample(family, x, order_k, depth, cache=cache)
+    hs = hull_sample(family, x, order_k, depth)
     bounds = []
     for p in hs.points:
         rep = almost_periodicity_report(family, p, 3 * eps, n_max)
@@ -839,19 +824,18 @@ def hull_closure_equality(
             raise PreconditionError(
                 f"{family.name!r} shows no equicontinuity evidence at eps={eps}"
             )
-    cache = FlowCache(family)
-    hx = hull_sample(family, x, order_k, depth, cache=cache)
+    hx = hull_sample(family, x, order_k, depth)
     if y is not None:
         ys = [y]
     else:
         ys = []
         for n in (1, -1, 2, -2, 3, -3):
-            p = cache.omega(n, x)
+            p = FlowCache(family).omega(n, x)
             if all(q != p for q in ys):
                 ys.append(p)
     worst_y, worst_d = None, -1.0
     for p in ys:
-        hp = hull_sample(family, p, order_k, depth, cache=cache)
+        hp = hull_sample(family, p, order_k, depth)
         d = _hausdorff(family.space, hx.points, hp.points)
         if d > worst_d:
             worst_y, worst_d = p, d
@@ -899,9 +883,10 @@ def dichotomy_scan(
             sensitive.append(g)
 
     propagation = True
+    cache = FlowCache(family)
     for p in sensitive[:3]:
         for n in (1, -1, 2):
-            q = omega(family, n, p)
+            q = cache.omega(n, p)
             rep = sensitivity_at_point(
                 family, q, delta=delta, radii=radii, samples=8, n_max=n_max
             )
@@ -952,9 +937,13 @@ def replay_witness(family: MapFamily, witness: Witness, parameters: dict | None 
         a, b = witness.points
         return tuple(metric(space, cache.omega(t, a), b) for t in witness.times)
     if kind == "hull_miss":
-        if not parameters:
-            raise ValueError("hull_miss replay needs the report's parameter record")
-        order_k = parameters.get("order_cap", parameters.get("order_k"))
-        hs = hull_sample(family, witness.points[0], order_k, parameters["depth"], cache=cache)
+        record = parameters or {}
+        order_k = record.get("order_cap", record.get("order_k"))
+        missing = [key for key, value in (("order_cap or order_k", order_k),
+                                          ("depth", record.get("depth"))) if value is None]
+        if missing:
+            raise ValueError(f"hull_miss replay needs {' and '.join(missing)} "
+                             "from the report's parameter record")
+        hs = hull_sample(family, witness.points[0], order_k, record["depth"])
         return (min(metric(space, p, witness.points[1]) for p in hs.points),)
     raise ValueError(f"unknown witness kind {kind!r}")

@@ -7,11 +7,12 @@ factors are applied in ascending index order instead (mathematically equal,
 and it makes backward windows incremental); non-commutative families use the
 literal descending order.  A family's declarations (commutative, isometric,
 period) are checked on every map it builds, so a flow never rests on a false
-one.  FlowCache stores trajectories and reproduces these operation orders
-exactly: ascending for commutative families, blocks of one period for
-families with a declared period, and a per-time memo of omega otherwise (see
-FlowCache).  While every map is a rotation, or a block of w rotations,
-FlowCache moves float points by one inline loop over their turns.
+one.  Each family holds one trajectory store, and every FlowCache of the
+family reads and extends it, reproducing these operation orders exactly:
+ascending for commutative families, blocks of one period for families with a
+declared period, and a per-time memo of omega otherwise (see FlowCache).
+While every map is a rotation, or a block of w rotations, FlowCache moves
+float points by one inline loop over their turns.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class MapFamily:
       has the same type and equal attributes.
 
     ``exact`` optionally carries the exact rational view of a rotation family.
+    The family also holds the trajectory store that its FlowCache views share.
     """
 
     def __init__(
@@ -80,6 +82,7 @@ class MapFamily:
         self._turns: list[float] | None = []
         self._back: list[float] = []
         self._width = 0
+        self._traj: dict = {}  # FlowCache's store: plain data, never a FlowCache
 
     def map_at(self, n: int) -> Homeomorphism:
         if n < 1:
@@ -169,7 +172,10 @@ def _extend(family: MapFamily, traj: list, n: int, inverse: bool) -> None:
 class FlowCache:
     """Memoized flow evaluation; cached values equal fresh omega() bit-for-bit.
 
-    One trajectory store holds every value, keyed by (type(x), x, tag):
+    A FlowCache is a cheap view of its family's one trajectory store: all views
+    of a family read and extend the same trajectories.  The store has no cap
+    and lives as long as the family.  It holds every value, keyed by
+    (type(x), x, tag):
     Fraction(1, 2) and 0.5 are equal and hash alike but have different
     trajectories.  Tag "+" is the forward trajectory [x, omega_1(x), ...],
     extended one map at a time as omega's loop does, inline over the family's
@@ -190,12 +196,12 @@ class FlowCache:
       computed by omega and kept, O(|n|) map applications per value.
 
     ``window`` extends the trajectories once and assembles its list by
-    slicing.  Confine an instance to one worker, or wrap it yourself.
+    slicing.  Confine a family, views and all, to one worker, or wrap it yourself.
     """
 
     def __init__(self, family: MapFamily):
         self.family = family
-        self._store: dict = {}
+        self._store = family._traj
         self._commutative = family.declared_commutative
         self._period = family.declared_period
 
@@ -327,18 +333,17 @@ def hull_sample(
     depth: int,
     dedup_eps: float = 1e-9,
     max_points: int | None = None,
-    cache: FlowCache | None = None,
 ) -> HullSample:
     """Breadth-first enumeration of flow words applied to x.
 
     Words are compositions of flow maps at times r in {-order_k, .., order_k}
     (time 0 is the identity and is harmless), at most ``depth`` letters long.
-    Each point's 2k + 1 successors come from one flow window, in time order.
-    Deduplication keeps the first representative within dedup_eps.  A
-    candidate equal to a kept point (a set lookup) is at distance 0 and is
-    skipped at once; any other is tested against a sorted copy of the kept
-    points (space.nearest_distance), so a test costs O(log n) comparisons and
-    at most 4 inline distances, and keeping a point costs one O(n) insertion.
+    Each point's 2k + 1 successors come from one flow window of the family's
+    store, in time order.  Deduplication keeps the first representative within
+    dedup_eps.  A candidate equal to a kept point (a set lookup) is at distance
+    0 and is skipped at once; any other is tested against a sorted copy of the
+    kept points (space.nearest_distance), so a test costs O(log n) comparisons
+    and at most 4 inline distances, and keeping a point costs one O(n) insertion.
     On rotation cycles most candidates are such exact repeats.  Hitting
     ``max_points`` (globally capped by NAADS_BUDGET_POINTS) sets
     budget_exhausted; truncation is reported, never silent.
@@ -346,7 +351,7 @@ def hull_sample(
     if order_k < 1 or depth < 1 or dedup_eps <= 0:
         raise ValueError("order_k, depth must be >= 1 and dedup_eps > 0")
     cap = points_budget(max_points, 4096)
-    cache = cache or FlowCache(family)
+    cache = FlowCache(family)
     space = family.space
     points = [x]
     index = [x]  # the kept points, sorted

@@ -1,14 +1,20 @@
 """Checker-level tests with frozen oracle values per corpus family."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from naads import checkers
 from naads import (
+    Composite,
     MapFamily,
+    PiecewiseLinear,
+    PowerMap,
     PreconditionError,
+    Reflection,
     Verdict,
+    Witness,
     almost_periodicity_report,
     ap_propagation_check,
     corpus,
@@ -187,6 +193,28 @@ class TestSensitivity:
         # the small ball is the one an isometry can never expand
         assert rep.details["unexpanded_radius"] == 0.01
 
+    @pytest.mark.parametrize("radii", [(math.nan,), (0.1, math.nan), (0.1, 0.0)])
+    def test_radius_must_be_positive(self, fam, radii):
+        with pytest.raises(ValueError, match="positive radii"):
+            sensitivity_at_point(fam["example2_powers"], 0.3, radii=radii, n_max=10)
+
+    def test_second_call_reads_the_family_store(self, monkeypatch):
+        fam = corpus("example1_tent_sqrt").family
+        first = sensitivity_at_point(fam, 0.3, n_max=30)
+        calls = []
+        for cls in (PiecewiseLinear, PowerMap, Reflection, Composite):
+            for attr in ("forward", "inverse"):
+                def counted(self, x, _method=getattr(cls, attr)):
+                    calls.append(_method)
+                    return _method(self, x)
+                monkeypatch.setattr(cls, attr, counted)
+        again = sensitivity_at_point(fam, 0.3, n_max=30)
+        assert calls == []
+        assert again.render() == first.render()
+        # the counter sees the maps: a fresh family applies them again
+        sensitivity_at_point(corpus("example1_tent_sqrt").family, 0.3, n_max=30)
+        assert calls
+
 
 class TestDensityTransitivity:
     def test_harmonic_orbit_dense(self, fam):
@@ -247,6 +275,17 @@ class TestMinimality:
         assert replay_witness(
             fam["interval_square_sqrt"], w, rep.parameters
         ) == pytest.approx(w.distances, abs=1e-12)
+
+    @pytest.mark.parametrize("record, missing", [
+        ({"depth": 3}, "order_cap or order_k"),
+        ({"order_cap": 2}, "depth"),
+        ({}, "order_cap or order_k and depth"),
+        (None, "order_cap or order_k and depth"),
+    ])
+    def test_hull_miss_replay_names_the_missing_parameter(self, fam, record, missing):
+        w = Witness("hull_miss", (0.0, 0.5), (), (0.5,))
+        with pytest.raises(ValueError, match=f"needs {missing} from"):
+            replay_witness(fam["interval_square_sqrt"], w, record)
 
     def test_truncated_claim_refuted_when_hull_stabilizes(self, fam):
         # order-1 harmonic hulls are single points (the first displacement is

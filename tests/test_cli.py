@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naads import CORPUS_NAMES, PropertyReport, checkers, corpus
+from naads import CORPUS_NAMES, MapFamily, NaadsError, PropertyReport, checkers, corpus
 from naads.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     TASKS,
+    _render_result,
     main,
 )
 
@@ -603,6 +604,46 @@ def test_check_fuzz_exit_codes(job):
         allowed = {EXIT_USAGE}
     assert code in allowed, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# One parameter record for every task; each task reads the parameters it has.
+_SHARED_PARAMS = {"x": 0.3, "y": 0.7, "eps": 0.125, "r": 2, "N": 20, "horizon": 10,
+                  "grid": 4, "grid_size": 4, "pair_grid": 5, "samples": 4,
+                  "order_cap": 3, "order_k": 3, "depth": 3}
+
+
+def _undeclared_example1():
+    """example1's maps with no declared period: backward values are memoized per time."""
+    fam = corpus("example1_tent_sqrt").family
+    return MapFamily(fam.space, fam.rule, "example1_undeclared")
+
+
+_STORE_FAMILIES = {
+    "circle_ex4": lambda: corpus("circle_ex4").family,  # commutative
+    "example1_tent_sqrt": lambda: corpus("example1_tent_sqrt").family,  # periodic
+    "example1_undeclared": _undeclared_example1,
+}
+
+
+def _task_outcome(family, task):
+    """The task's rendered report, or the error it raises."""
+    try:
+        return _render_result(TASKS[task](family, _SHARED_PARAMS), family, task, False)
+    except NaadsError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", list(_STORE_FAMILIES))
+def test_shared_store_changes_no_report(name):
+    # every task on a fresh family, and on one whose trajectory store holds
+    # what every other task computed
+    make = _STORE_FAMILIES[name]
+    for task in TASKS:
+        warm = make()
+        for other in TASKS:
+            if other != task:
+                _task_outcome(warm, other)
+        assert _task_outcome(warm, task) == _task_outcome(make(), task), task
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Flow evaluation, caching, block families, hull sampling, checked declarations."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -129,6 +131,21 @@ class TestFlowCache:
         assert len(win) == 11
         for i, n in enumerate(range(-5, 6)):
             assert win[i] == cache.omega(n, 0.1)
+
+    @pytest.mark.parametrize("name", ["circle_ex4", "example1_tent_sqrt"])
+    def test_store_makes_no_reference_cycle(self, name):
+        # the store is plain data on the family: with the cyclic collector
+        # off, a served family is freed as soon as its last name is deleted
+        gc.disable()
+        try:
+            fam = corpus(name).family
+            FlowCache(fam).window(0.3, 50)
+            hull_sample(fam, 0.3, order_k=2, depth=2)
+            ref = weakref.ref(fam)
+            del fam
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_window_centre_and_bad_size(self):
         fam = corpus("example2_powers").family

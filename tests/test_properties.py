@@ -489,9 +489,9 @@ class TestEpsDenseMatchesScan:
     )
     def test_corpus_orbits(self, case, eps, n_max):
         name, x = case
-        cache = FlowCache(corpus(name).family)
-        got = _eps_dense(cache, x, eps, n_max)
-        assert repr(got) == repr(_reference_eps_dense(cache, x, eps, n_max))
+        got = _eps_dense(corpus(name).family, x, eps, n_max)
+        want = _reference_eps_dense(FlowCache(corpus(name).family), x, eps, n_max)
+        assert repr(got) == repr(want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -504,10 +504,9 @@ class TestEpsDenseMatchesScan:
         # rotation by 1/q from j/q: a q-periodic orbit, so times tie in groups
         fam = MapFamily(Space.CIRCLE, lambda n: CircleRotation(Fraction(1, q)),
                         "rot", declared_commutative=True)
-        cache = FlowCache(fam)
         x = (j % q) / q
-        got = _eps_dense(cache, x, eps, n_max)
-        assert repr(got) == repr(_reference_eps_dense(cache, x, eps, n_max))
+        got = _eps_dense(fam, x, eps, n_max)
+        assert repr(got) == repr(_reference_eps_dense(FlowCache(fam), x, eps, n_max))
 
 
 def _rotation_cycle(angles):
