@@ -17,9 +17,9 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 
 from .errors import BudgetError, PreconditionError
 from .exact import exact_hull_displacements, exact_periodicity
@@ -151,22 +151,19 @@ def return_time_set(family: MapFamily, x, eps, n_max: int) -> ReturnTimeSet:
         raise ValueError("need eps > 0 and window >= 1")
     row = distances(family.space, FlowCache(family).window(x, n_max), repeat(x))
     times = [n for n, d in zip(range(-n_max, n_max + 1), row) if d < eps]
-    internal = max(
-        (b - a for a, b in zip(times, times[1:])), default=0
-    )
-    return ReturnTimeSet(
-        base=x,
-        eps=eps,
-        window_n=n_max,
-        times=times,
-        max_internal_gap=internal,
-        censored_left_gap=times[0] + n_max,
-        censored_right_gap=n_max - times[-1],
-    )
+    internal, left, right = _gaps(times, n_max)
+    return ReturnTimeSet(base=x, eps=eps, window_n=n_max, times=times,
+                         max_internal_gap=internal, censored_left_gap=left,
+                         censored_right_gap=right)
 
 
-def _gap_bound(rts: ReturnTimeSet) -> int:
-    return max(rts.max_internal_gap, rts.censored_left_gap, rts.censored_right_gap)
+def _gaps(times: list, n: int) -> tuple:
+    """(internal, left, right): the return gaps of the sorted ``times`` within |t| <= n.
+
+    Edge gaps are censored at -n and n.  Time 0 is a return, so none is empty.
+    """
+    ts = times[bisect_left(times, -n):bisect_right(times, n)]
+    return max((b - a for a, b in zip(ts, ts[1:])), default=0), ts[0] + n, n - ts[-1]
 
 
 @_records_call
@@ -177,47 +174,42 @@ def almost_periodicity_report(
 
     A stable gap bound M across the doublings is evidence for almost
     periodicity; a growing (censored) gap is evidence against -- a finite
-    window cannot certify unboundedness, so the trend is the signal.
+    window cannot certify unboundedness, so the trend is the signal.  One
+    return-time scan, of the window 4n, gives all three bounds.
     """
     windows = [n_max, 2 * n_max, 4 * n_max]
-    gaps = [_gap_bound(return_time_set(family, x, eps, w)) for w in windows]
+    times = return_time_set(family, x, eps, windows[-1]).times
+    gaps = [max(_gaps(times, w)) for w in windows]
     trend = list(zip(windows, gaps))
     if gaps[2] > gaps[0]:
-        return PropertyReport(
-            "almost_periodicity",
-            Verdict.EVIDENCE_AGAINST,
-            details={"trend": trend},
-        )
-    return PropertyReport(
-        "almost_periodicity",
-        Verdict.EVIDENCE_FOR,
-        details={"M": gaps[2], "trend": trend},
-    )
+        return PropertyReport("almost_periodicity", Verdict.EVIDENCE_AGAINST,
+                              details={"trend": trend})
+    return PropertyReport("almost_periodicity", Verdict.EVIDENCE_FOR,
+                          details={"M": gaps[2], "trend": trend})
 
 
 @_records_call
 def uniform_ap_report(
     family: MapFamily, eps, n_max: int, grid_size: int = 64
 ) -> PropertyReport:
-    """One syndetic bound M for every grid point, or the worst offender."""
+    """One syndetic bound M for every grid point, or the worst offender.
+
+    Each grid point, in order, gets one return-time scan of the window 2N,
+    which gives its bounds at N and 2N; the first bound that grows ends the scan.
+    """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     worst_m = 0
     for g in uniform_grid(family.space, grid_size):
-        g1 = _gap_bound(return_time_set(family, g, eps, n_max))
-        g2 = _gap_bound(return_time_set(family, g, eps, 2 * n_max))
+        times = return_time_set(family, g, eps, 2 * n_max).times
+        g1, g2 = max(_gaps(times, n_max)), max(_gaps(times, 2 * n_max))
         if g2 > g1:
-            return PropertyReport(
-                "uniform_almost_periodicity",
-                Verdict.EVIDENCE_AGAINST,
-                details={"worst_point": g, "gap_trend": [(n_max, g1), (2 * n_max, g2)]},
-            )
+            trend = [(n_max, g1), (2 * n_max, g2)]
+            return PropertyReport("uniform_almost_periodicity", Verdict.EVIDENCE_AGAINST,
+                                  details={"worst_point": g, "gap_trend": trend})
         worst_m = max(worst_m, g2)
-    return PropertyReport(
-        "uniform_almost_periodicity",
-        Verdict.EVIDENCE_FOR,
-        details={"M": worst_m},
-    )
+    return PropertyReport("uniform_almost_periodicity", Verdict.EVIDENCE_FOR,
+                          details={"M": worst_m})
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +379,21 @@ def _ball_samples(space: Space, x, radius, count: int):
     return pts
 
 
+def _first_expansion(space: Space, pts, wins, n: int, delta, done: int = -1):
+    """First (a, b, k, d), |k| <= n, with d(omega_k a, omega_k b) > delta.
+
+    ``wins`` are the windows of ``pts`` at n; times go in _scan_times order,
+    pairs in sample order.  Times with |k| <= done are known not to expand.
+    """
+    for k in islice(_scan_times(n), max(2 * done + 1, 0), None):
+        idx = k + n
+        if spread_exceeds(space, [win[idx] for win in wins], delta):  # some pair does
+            return next((pts[i], pts[j], k, d) for i in range(len(pts))
+                        for j in range(i + 1, len(pts))
+                        if (d := metric(space, wins[i][idx], wins[j][idx])) > delta)
+    return None
+
+
 @_records_call
 def sensitivity_at_point(
     family: MapFamily,
@@ -402,6 +409,10 @@ def sensitivity_at_point(
     diameter is a lower bound on the true one, so EvidenceFor is safe and a
     refusal is conservative.  delta defaults to a quarter of the space
     diameter.
+
+    Radii go in order, and the first ball that does not expand ends the scan.
+    A ball's sample windows are read at min(N, 16), and at N only if no pair
+    separates there, so a witness is the first separation in time order.
     """
     if samples < 2 or any(not r > 0 for r in radii):  # also rejects r = nan
         raise ValueError("need samples >= 2 and positive radii")
@@ -414,36 +425,19 @@ def sensitivity_at_point(
     witnesses = []
     for radius in radii:
         pts = _ball_samples(space, x, radius, samples)
-        wins = [cache.window(p, n_max) for p in pts]
-        hit = None
-        for k in _scan_times(n_max):
-            idx = k + n_max
-            if not spread_exceeds(space, [win[idx] for win in wins], delta):
-                continue
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    d = metric(space, wins[i][idx], wins[j][idx])
-                    if d > delta:
-                        hit = Witness(
-                            "pair_orbit",
-                            (pts[i], pts[j]),
-                            (k,),
-                            (d,),
-                            note=f"radius={radius!r}",
-                        )
-                        break
-                if hit:
-                    break
-            if hit:
-                break
+        if n_max > family.horizon:  # the full read's budget: a short hit must not hide it
+            raise BudgetError(f"time {-n_max} exceeds horizon {family.horizon}")
+        short = min(n_max, 16)
+        hit = _first_expansion(space, pts, [cache.window(p, short) for p in pts],
+                               short, delta)
+        if hit is None and n_max > short:
+            hit = _first_expansion(space, pts, [cache.window(p, n_max) for p in pts],
+                                   n_max, delta, short)
         if hit is None:
-            return PropertyReport(
-                "sensitivity_at_point",
-                Verdict.EVIDENCE_AGAINST,
-                {"delta": delta},
-                details={"unexpanded_radius": radius},
-            )
-        witnesses.append(hit)
+            return PropertyReport("sensitivity_at_point", Verdict.EVIDENCE_AGAINST,
+                                  {"delta": delta}, details={"unexpanded_radius": radius})
+        a, b, k, d = hit
+        witnesses.append(Witness("pair_orbit", (a, b), (k,), (d,), f"radius={radius!r}"))
     return PropertyReport(
         "sensitivity_at_point", Verdict.EVIDENCE_FOR, {"delta": delta}, witnesses
     )
@@ -453,37 +447,35 @@ def sensitivity_at_point(
 # density, transitivity, minimality
 
 
-def _eps_dense(family: MapFamily, x, eps, n_max: int):
-    """Check the orbit window of x against a ceil(1/eps)-uniform net.
+def _center_distances(family: MapFamily, x, eps, n_max: int):
+    """The orbit window [-N, N] of x, and its distance to each eps-net center.
 
-    Returns (dense, worst_center, worst_distance, worst_time) where the worst
-    center is the first one farthest from the orbit and worst_time the first
-    time in scan order attaining worst_distance.
+    The distances come lazily, as (center, distance) pairs in center order.
     """
     if n_max < 0:
         raise ValueError("window size must be >= 0")
     space = family.space
     window = FlowCache(family).window(x, n_max)
     index = sorted(window)
-    worst_c, worst_d = None, -1.0
-    for c in net_centers(space, eps):
-        d = nearest_distance(space, index, c)
-        if d > worst_d:
-            worst_c, worst_d = c, d
-    worst_t = next(n for n in _scan_times(n_max)
-                   if metric(space, window[n + n_max], worst_c) == worst_d)
-    return worst_d <= eps, worst_c, worst_d, worst_t
+    return window, ((c, nearest_distance(space, index, c))
+                    for c in net_centers(space, eps))
 
 
 @_records_call
 def orbit_density(family: MapFamily, x, eps, n_max: int) -> PropertyReport:
-    """Is the orbit window [-N, N] of x eps-dense in the space?"""
+    """Is the orbit window [-N, N] of x eps-dense in the space?
+
+    Only a window that misses its worst center is scanned for a witness time.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    dense, c, d, t = _eps_dense(family, x, eps, n_max)
+    window, dists = _center_distances(family, x, eps, n_max)
+    c, d = max(dists, key=lambda cd: cd[1])  # the first maximum
     details = {"max_center_distance": d, "worst_center": c}
-    if dense:
+    if d <= eps:
         return PropertyReport("orbit_density", Verdict.EVIDENCE_FOR, details=details)
+    space = family.space
+    t = next(n for n in _scan_times(n_max) if metric(space, window[n + n_max], c) == d)
     return PropertyReport(
         "orbit_density",
         Verdict.EVIDENCE_AGAINST,
@@ -503,6 +495,11 @@ def transitivity_scan(
     by some sampled time |k| <= N.  Both true -> EvidenceFor; both false ->
     EvidenceAgainst; a disagreement means the scales are mismatched and the
     scan is inconclusive.
+
+    Each probe stops at its first decisive answer: (a) at the first dense
+    window, each window at its first missed center; (b) scans pairs u-major,
+    reads the five sampled windows of u's ball on reaching u, and stops at the
+    first unmet pair.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -511,26 +508,27 @@ def transitivity_scan(
 
     dense_point = None
     for g in uniform_grid(space, grid):
-        dense, _, _, _ = _eps_dense(family, g, eps, n_max)
-        if dense:
+        if all(d <= eps for _, d in _center_distances(family, g, eps, n_max)[1]):
             dense_point = g
             break
     sub_a = dense_point is not None
 
     centers = net_centers(space, eps)
     offsets = (0.0, 0.5 * eps, -0.5 * eps, 0.9 * eps, -0.9 * eps)
-    ball: dict = {}
-    for c in centers:
+    unmet = None
+    for u in centers:
         pts = []
         for off in offsets:
-            p = (c + off) % 1.0 if space is Space.CIRCLE else min(1.0, max(0.0, c + off))
-            if metric(space, p, c) < eps and all(q != p for q in pts):
+            p = (u + off) % 1.0 if space is Space.CIRCLE else min(1.0, max(0.0, u + off))
+            if metric(space, p, u) < eps and all(q != p for q in pts):
                 pts.append(p)
         # every value the sampled ball reaches at some time |k| <= N, sorted
-        ball[c] = sorted(z for p in pts for z in cache.window(p, n_max))
-
-    unmet = next(((u, v) for u in centers for v in centers
-                  if nearest_distance(space, ball[u], v) >= eps), None)
+        ball = [z for p in pts for z in cache.window(p, n_max)]
+        ball.sort()
+        v = next((v for v in centers if nearest_distance(space, ball, v) >= eps), None)
+        if v is not None:
+            unmet = (u, v)
+            break
     sub_b = unmet is None
 
     details = {

@@ -169,9 +169,8 @@ def _settling() -> CorpusEntry:
 
 
 def _ex4_step(n: int) -> RationalAngle:
-    k = (n + 3) // 4
-    sign = 1 if n % 4 in (0, 1) else -1
-    return RationalAngle(Fraction(sign, 2 ** k))
+    d = 1 << ((n + 3) // 4)  # the step is +-1/d, built in lowest terms in [0, 1)
+    return RationalAngle(_coprime(1 if n % 4 in (0, 1) else d - 1, d))
 
 
 def _ex4() -> CorpusEntry:

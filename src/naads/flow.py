@@ -260,13 +260,20 @@ class FlowCache:
         return traj[i]
 
     def window(self, x, n_max: int) -> list:
-        """Flow values at times -n_max..n_max, index i holding time i - n_max."""
+        """Flow values at times -n_max..n_max, index i holding time i - n_max.
+
+        Just two slices when x's stored commutative trajectories reach n_max.
+        """
         if n_max < 0:
             raise ValueError("window size must be >= 0")
         if n_max > self.family.horizon:
             raise BudgetError(f"time {-n_max} exceeds horizon {self.family.horizon}")
-        self.omega(n_max, x)  # extends the forward trajectory
         key = (type(x), x)
+        if self._commutative:
+            forward, back = self._store.get(key + ("+",)), self._store.get(key + ("-",))
+            if forward and back and min(len(forward), len(back)) > n_max:
+                return back[n_max:0:-1] + forward[:n_max + 1]
+        self.omega(n_max, x)  # extends the forward trajectory
         forward = self._store.get(key + ("+",), [x])[:n_max + 1]
         if self._commutative:
             return self._grow(key + ("-",), n_max)[n_max:0:-1] + forward

@@ -134,8 +134,14 @@ def uniform_grid(space: Space, count: int) -> list[float]:
 
 
 def net_size(eps) -> int:
-    """m = ceil(1/eps): the centers i/m of the eps-net, exact for a Fraction eps."""
-    return check_grid_size(math.ceil(1 / eps))
+    """m = ceil(1/eps): the centers i/m of the eps-net, exact for a Fraction eps.
+
+    The budget reads 1/eps (inf for a subnormal eps): ceil(1/eps) > B iff 1/eps > B.
+    """
+    if not (inv := 1 / eps) <= GRID_BUDGET:
+        raise BudgetError(f"an eps-net at eps={eps} exceeds the budget of {GRID_BUDGET} "
+                          "grid points")
+    return math.ceil(inv)
 
 
 def net_centers(space: Space, eps) -> list[float]:

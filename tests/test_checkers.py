@@ -7,6 +7,7 @@ import pytest
 
 from naads import checkers
 from naads import (
+    BudgetError,
     Composite,
     MapFamily,
     PiecewiseLinear,
@@ -250,6 +251,32 @@ class TestDensityTransitivity:
         assert rep.verdict is Verdict.EVIDENCE_AGAINST
         assert rep.details["identity_blocks"] is True
         assert rep.parameters["r"] == 2
+
+
+class TestScansStopEarly:
+    """Work counts: the trajectories a scan leaves in its family's store."""
+
+    def test_transitivity_reads_one_ball(self):
+        # the first center's ball already misses a center: 16 grid points
+        # and that ball's 5 points (the center 0 is also a grid point)
+        family = corpus("circle_ex4").family
+        rep = transitivity_scan(family, 0.05, 100)
+        assert rep.details["unmet_pair"][0] == 0.0
+        assert len({x for _, x, _ in family._traj}) <= 21
+
+    def test_sensitivity_reads_short_windows_first(self):
+        # example1's balls expand at times 3 and 10, inside the 16-time read
+        family = corpus("example1_tent_sqrt").family
+        rep = sensitivity_at_point(family, 0, samples=10, n_max=200)
+        assert rep.verdict is Verdict.EVIDENCE_FOR
+        assert [w.times for w in rep.witnesses] == [(3,), (10,)]
+        assert max(len(traj) for traj in family._traj.values()) == 17
+
+    def test_sensitivity_window_past_the_horizon_is_a_budget_error(self):
+        # a hit inside the short read must not hide the budget
+        family = corpus("example1_tent_sqrt").family
+        with pytest.raises(BudgetError, match="exceeds horizon"):
+            sensitivity_at_point(family, 0, n_max=family.horizon + 1)
 
 
 class TestMinimality:

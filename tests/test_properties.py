@@ -15,10 +15,12 @@ from naads import (
     PiecewiseLinear,
     PowerMap,
     PreconditionError,
+    PropertyReport,
     RationalAngle,
     RationalRotationFamily,
     Space,
     Verdict,
+    almost_periodicity_report,
     corpus,
     equicontinuity_modulus,
     hull_periodicity_property,
@@ -28,12 +30,15 @@ from naads import (
     nearest_distance,
     net_centers,
     omega,
+    orbit_density,
     periodicity_check,
     replay_witness,
     return_time_set,
     sensitivity_at_point,
+    transitivity_scan,
+    uniform_ap_report,
 )
-from naads.checkers import _ball_samples, _eps_dense, _nearby_pairs, _scan_times
+from naads.checkers import _ball_samples, _nearby_pairs, _records_call, _scan_times
 from naads.space import BOUNDARY_TOL, diameter, spread_exceeds, uniform_grid
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -405,6 +410,107 @@ class TestWindowScansMatchTimeScans:
         assert return_time_set(fam, x, eps, n_max).times == times
 
 
+@_records_call
+def _reference_transitivity_scan(family, eps, n_max, grid=16):
+    """transitivity_scan read eagerly: every center's worst time, every ball built."""
+    space, cache = family.space, FlowCache(family)
+    dense_point = next((g for g in uniform_grid(space, grid)
+                        if _reference_eps_dense(cache, g, eps, n_max)[0]), None)
+    centers = net_centers(space, eps)
+    ball = {}
+    for c in centers:
+        pts = []
+        for off in (0.0, 0.5 * eps, -0.5 * eps, 0.9 * eps, -0.9 * eps):
+            p = (c + off) % 1.0 if space is Space.CIRCLE else min(1.0, max(0.0, c + off))
+            if metric(space, p, c) < eps and all(q != p for q in pts):
+                pts.append(p)
+        ball[c] = sorted(z for p in pts for z in cache.window(p, n_max))
+    unmet = next(((u, v) for u in centers for v in centers
+                  if nearest_distance(space, ball[u], v) >= eps), None)
+    sub_a, sub_b = dense_point is not None, unmet is None
+    verdict = (Verdict.EVIDENCE_FOR if sub_a and sub_b else
+               Verdict.EVIDENCE_AGAINST if not sub_a and not sub_b else
+               Verdict.INCONCLUSIVE_BUDGET)
+    return PropertyReport("transitivity", verdict, details={
+        "dense_orbit": sub_a, "dense_orbit_point": dense_point,
+        "open_set_scan": sub_b, "unmet_pair": unmet})
+
+
+def _reference_gap(family, x, eps, n):
+    """The gap bound of a return-time scan of its own window n: internal or censored."""
+    times = return_time_set(family, x, eps, n).times
+    internal = max((b - a for a, b in zip(times, times[1:])), default=0)
+    return max(internal, times[0] + n, n - times[-1])
+
+
+@_records_call
+def _reference_almost_periodicity_report(family, x, eps, n_max):
+    """almost_periodicity_report with one return-time scan per window."""
+    windows = [n_max, 2 * n_max, 4 * n_max]
+    gaps = [_reference_gap(family, x, eps, w) for w in windows]
+    trend = list(zip(windows, gaps))
+    if gaps[2] > gaps[0]:
+        return PropertyReport("almost_periodicity", Verdict.EVIDENCE_AGAINST,
+                              details={"trend": trend})
+    return PropertyReport("almost_periodicity", Verdict.EVIDENCE_FOR,
+                          details={"M": gaps[2], "trend": trend})
+
+
+@_records_call
+def _reference_uniform_ap_report(family, eps, n_max, grid_size=64):
+    """uniform_ap_report with one return-time scan per window."""
+    worst_m = 0
+    for g in uniform_grid(family.space, grid_size):
+        g1 = _reference_gap(family, g, eps, n_max)
+        g2 = _reference_gap(family, g, eps, 2 * n_max)
+        if g2 > g1:
+            return PropertyReport("uniform_almost_periodicity", Verdict.EVIDENCE_AGAINST,
+                                  details={"worst_point": g,
+                                           "gap_trend": [(n_max, g1), (2 * n_max, g2)]})
+        worst_m = max(worst_m, g2)
+    return PropertyReport("uniform_almost_periodicity", Verdict.EVIDENCE_FOR,
+                          details={"M": worst_m})
+
+
+# a way to build a fresh family: a corpus family (example1_tent_sqrt among
+# them) or an inline rotation cycle
+lazy_family = st.one_of(
+    corpus_name.map(lambda name: lambda: corpus(name).family),
+    st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=40),
+             min_size=1, max_size=4).map(lambda angles: lambda: _rotation_cycle(angles)[0]),
+)
+
+
+class TestLazyScansMatchEagerScans:
+    """Each scan stops at its first decisive answer; the reports stay the same."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(make=lazy_family, eps=st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.6]),
+           n_max=st.integers(min_value=0, max_value=20),
+           grid=st.integers(min_value=2, max_value=6))
+    def test_transitivity_scan(self, make, eps, n_max, grid):
+        got = transitivity_scan(make(), eps, n_max, grid)
+        want = _reference_transitivity_scan(make(), eps, n_max, grid)
+        assert got.render() == want.render()
+
+    @settings(max_examples=40, deadline=None)
+    @given(make=lazy_family, x=interior, eps=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+           n_max=st.integers(min_value=1, max_value=15))
+    def test_almost_periodicity_report(self, make, x, eps, n_max):
+        got = almost_periodicity_report(make(), x, eps, n_max)
+        want = _reference_almost_periodicity_report(make(), x, eps, n_max)
+        assert got.render() == want.render()
+
+    @settings(max_examples=40, deadline=None)
+    @given(make=lazy_family, eps=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+           n_max=st.integers(min_value=1, max_value=12),
+           grid_size=st.integers(min_value=2, max_value=8))
+    def test_uniform_ap_report(self, make, eps, n_max, grid_size):
+        got = uniform_ap_report(make(), eps, n_max, grid_size)
+        want = _reference_uniform_ap_report(make(), eps, n_max, grid_size)
+        assert got.render() == want.render()
+
+
 def _reference_hull(family, x, order_k, depth, dedup_eps, cap):
     """hull_sample's rule written as the plain all-points scan."""
     cache = FlowCache(family)
@@ -457,7 +563,10 @@ class TestHullDedupMatchesScan:
 
 
 def _reference_eps_dense(cache, x, eps, n_max):
-    """_eps_dense as the full scan: every center against every time."""
+    """orbit_density's scan in full: every center against every time.
+
+    Returns (dense, worst_center, worst_distance, worst_time).
+    """
     space = cache.family.space
     window = cache.window(x, n_max)
     worst_c, worst_d, worst_t = None, -1.0, 0
@@ -470,6 +579,13 @@ def _reference_eps_dense(cache, x, eps, n_max):
         if best_d > worst_d:
             worst_c, worst_d, worst_t = c, best_d, best_t
     return worst_d <= eps, worst_c, worst_d, worst_t
+
+
+def _density_facts(rep):
+    """(dense, worst_center, worst_distance), and the witness time if not dense."""
+    facts = (rep.verdict is Verdict.EVIDENCE_FOR, rep.details["worst_center"],
+             rep.details["max_center_distance"])
+    return facts + rep.witnesses[0].times if rep.witnesses else facts
 
 
 class TestEpsDenseMatchesScan:
@@ -489,9 +605,9 @@ class TestEpsDenseMatchesScan:
     )
     def test_corpus_orbits(self, case, eps, n_max):
         name, x = case
-        got = _eps_dense(corpus(name).family, x, eps, n_max)
+        got = _density_facts(orbit_density(corpus(name).family, x, eps, n_max))
         want = _reference_eps_dense(FlowCache(corpus(name).family), x, eps, n_max)
-        assert repr(got) == repr(want)
+        assert repr(got) == repr(want[:3] if want[0] else want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -505,8 +621,9 @@ class TestEpsDenseMatchesScan:
         fam = MapFamily(Space.CIRCLE, lambda n: CircleRotation(Fraction(1, q)),
                         "rot", declared_commutative=True)
         x = (j % q) / q
-        got = _eps_dense(fam, x, eps, n_max)
-        assert repr(got) == repr(_reference_eps_dense(FlowCache(fam), x, eps, n_max))
+        got = _density_facts(orbit_density(fam, x, eps, n_max))
+        want = _reference_eps_dense(FlowCache(fam), x, eps, n_max)
+        assert repr(got) == repr(want[:3] if want[0] else want)
 
 
 def _rotation_cycle(angles):

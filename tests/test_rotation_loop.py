@@ -196,3 +196,12 @@ class TestMapList:
             assert math.gcd(v.numerator, v.denominator) == 1
             assert v == ref and hash(v) == hash(ref)
             assert entry.family.map_at(n).angle is v
+
+    def test_ex4_steps_in_lowest_terms(self):
+        entry = corpus("circle_ex4")
+        for n in range(1, 1001):  # blocks (+a, -a, -a, +a), a = 2^-k
+            sign = 1 if n % 4 in (0, 1) else -1
+            v, ref = entry.exact.step(n).value, Fraction(sign, 2 ** ((n + 3) // 4)) % 1
+            assert math.gcd(v.numerator, v.denominator) == 1
+            assert v == ref and hash(v) == hash(ref)
+            assert entry.family.map_at(n).angle is v
