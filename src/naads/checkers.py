@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import islice, repeat
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, DomainError, PreconditionError
 from .exact import exact_hull_displacements, exact_periodicity
 from .flow import FlowCache, MapFamily, block_family, hull_sample
 from .report import ProximalExtremes, PropertyReport, ReturnTimeSet, Verdict, Witness
@@ -149,6 +149,8 @@ def return_time_set(family: MapFamily, x, eps, n_max: int) -> ReturnTimeSet:
     """Times |n| <= n_max with d(omega_n(x), x) < eps, plus gap statistics."""
     if not eps > 0 or n_max < 1:  # also rejects eps = nan
         raise ValueError("need eps > 0 and window >= 1")
+    if x != x:  # a nan point returns nowhere, not even at time 0
+        raise DomainError(f"base point {x!r} is not a number")
     row = distances(family.space, FlowCache(family).window(x, n_max), repeat(x))
     times = [n for n, d in zip(range(-n_max, n_max + 1), row) if d < eps]
     internal, left, right = _gaps(times, n_max)

@@ -43,9 +43,9 @@ from fractions import Fraction
 from . import checkers
 from .corpus import CORPUS_NAMES, corpus
 from .errors import BudgetError, NaadsError, SchemaError
-from .exact import RationalAngle, RationalRotationFamily
+from .exact import RationalRotationFamily
 from .flow import FlowCache, MapFamily
-from .maps import CircleRotation, PowerMap
+from .maps import PowerMap
 from .report import PropertyReport, Verdict
 from .space import Space
 
@@ -192,19 +192,16 @@ def _inline_family(spec: dict) -> MapFamily:
     if not isinstance(name, str):
         raise SchemaError(f"inline family 'name' must be a string, got {name!r}")
     if kind == "rotations":
-        angles = [Fraction(a) for a in spec.get("angles", [])]
-        if not angles:
+        steps = [(Fraction(a) % 1).as_integer_ratio() for a in spec.get("angles", [])]
+        if not steps:
             raise SchemaError("inline rotations need a non-empty 'angles' list")
-        exact = RationalRotationFamily(
-            lambda n: RationalAngle(angles[(n - 1) % len(angles)]), name
-        )
         return MapFamily(
             space=Space.CIRCLE,
-            rule=lambda n: CircleRotation(angles[(n - 1) % len(angles)]),
+            rule=None,
             name=name,
             declared_commutative=True,
             declared_isometric=True,
-            exact=exact,
+            exact=RationalRotationFamily(lambda n: steps[(n - 1) % len(steps)], name),
         )
     if kind == "powers":
         exps = [Fraction(e) for e in spec.get("exponents", [])]

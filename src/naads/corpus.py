@@ -2,9 +2,10 @@
 
 Six nontrivial families (two interval, one interval counterexample pair, and
 three circle rotation sequences) plus the identity family for trivial cases.
-Circle families carry an exact rational view; their float maps are derived
-from it, never written out independently.  Each entry records the verdicts
-the checker suite is expected to produce, which drives the acceptance tests.
+A circle family is its exact rational view: each step is a coprime int pair,
+its float turns are read from the pairs, and a map is built only when asked
+for.  Each entry records the verdicts the checker suite is expected to
+produce, which drives the acceptance tests.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UnknownNameError
-from .exact import ZERO, RationalAngle, RationalRotationFamily, _coprime
+from .exact import RationalRotationFamily
 from .flow import MapFamily
-from .maps import CircleRotation, Composite, PiecewiseLinear, PowerMap, Reflection
+from .maps import Composite, PiecewiseLinear, PowerMap, Reflection
 from .report import Verdict
 from .space import Space
 
@@ -47,18 +48,13 @@ class CorpusEntry:
 
 
 def _rotation_family(name: str, step) -> MapFamily:
-    exact = RationalRotationFamily(step, name)
-
-    def rule(n: int) -> CircleRotation:
-        return CircleRotation(exact.step(n).value)
-
     return MapFamily(
         space=Space.CIRCLE,
-        rule=rule,
+        rule=None,
         name=name,
         declared_commutative=True,
         declared_isometric=True,
-        exact=exact,
+        exact=RationalRotationFamily(step, name),
     )
 
 
@@ -139,15 +135,11 @@ def _example2() -> CorpusEntry:
     )
 
 
-def _settling_step(n: int) -> RationalAngle:
-    if n == 1:
-        return RationalAngle(Fraction(1, 2))
-    if n == 2:
-        return RationalAngle(Fraction(-1, 4))
-    k = n // 2
-    if n % 2 == 1:
-        return RationalAngle(Fraction(1, 2 ** k))
-    return RationalAngle(-Fraction(1, 2 ** k) - Fraction(1, 2 ** (k + 1)))
+def _settling_step(n: int) -> tuple[int, int]:
+    if n <= 2:
+        return (1, 2) if n == 1 else (3, 4)  # 1/2, then -1/4
+    d = 1 << n // 2
+    return (1, d) if n % 2 else (2 * d - 3, 2 * d)  # 1/d, then -1/d - 1/(2d)
 
 
 def _settling() -> CorpusEntry:
@@ -168,9 +160,9 @@ def _settling() -> CorpusEntry:
     )
 
 
-def _ex4_step(n: int) -> RationalAngle:
-    d = 1 << ((n + 3) // 4)  # the step is +-1/d, built in lowest terms in [0, 1)
-    return RationalAngle(_coprime(1 if n % 4 in (0, 1) else d - 1, d))
+def _ex4_step(n: int) -> tuple[int, int]:
+    d = 1 << ((n + 3) // 4)  # the step is +-1/d, in lowest terms in [0, 1)
+    return 1 if n % 4 in (0, 1) else d - 1, d
 
 
 def _ex4() -> CorpusEntry:
@@ -193,20 +185,20 @@ def _ex4() -> CorpusEntry:
 
 
 def _harmonic() -> CorpusEntry:
-    fracs = [ZERO]  # fracs[k] = H_k mod 1, extended on demand
+    fracs = [(0, 1)]  # fracs[k] = H_k mod 1 as a coprime pair, extended on demand
 
-    def step(n: int) -> RationalAngle:
+    def step(n: int) -> tuple[int, int]:
         k = (n + 1) // 2
         while len(fracs) <= k:
             # a/b + 1/j in lowest terms with no full-width gcd (Knuth, TAOCP 4.5.1)
-            j, v = len(fracs), fracs[-1].value
-            a, b = v.numerator, v.denominator
+            j, (a, b) = len(fracs), fracs[-1]
             g = math.gcd(b, j)
             a, b = a * (j // g) + b // g, b * (j // g)
             g = math.gcd(a, g)
             a, b = a // g, b // g
-            fracs.append(RationalAngle(_coprime(a - b if a >= b else a, b)))
-        return fracs[k] if n % 2 == 1 else -fracs[k]
+            fracs.append((a - b if a >= b else a, b))
+        a, b = fracs[k]
+        return (a, b) if n % 2 == 1 or not a else (b - a, b)
 
     fam = _rotation_family("circle_harmonic", step)
     return CorpusEntry(

@@ -5,18 +5,17 @@ two-sided flow are exact prefix sums, so periodicity and hull density can be
 decided (within a finite horizon) instead of merely evidenced.  Angles are in
 turns; arbitrary-precision numerators and denominators come from
 fractions.Fraction, with a denominator-bit budget guarding pathological
-requests.  Sums of reduced angles fold back into [0, 1) by one add or
-subtract of 1; flow prefix sums and hulls run on integer numerators over one
-denominator, and become angles only when asked for.
+requests.  Steps are coprime int pairs a/b in [0, 1), and flow prefix sums
+and hulls integer numerators over one denominator; all become angles only
+when asked for.  Sums of angles fold into [0, 1) by one add or subtract of 1.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -25,15 +24,6 @@ from .errors import BudgetError, SchemaError
 # Harmonic prefix sums have denominators around lcm(1..k); 1 << 14 bits covers
 # horizons of a few thousand steps before aborting.
 DENOMINATOR_BIT_BUDGET = 1 << 14
-
-ZERO = None  # assigned after RationalAngle is defined
-
-# The Fraction n/d from coprime ints n and d > 0, without the gcd that
-# Fraction(n, d) takes; the private spelling differs across Python versions.
-if sys.version_info >= (3, 12):
-    _coprime = Fraction._from_coprime_ints
-else:
-    _coprime = partial(Fraction, _normalize=False)
 
 
 def _check_denominator(den: int) -> None:
@@ -73,7 +63,7 @@ class RationalAngle:
     def __neg__(self):
         v = self.value
         d = v.denominator
-        return RationalAngle(_coprime(d - v.numerator, d) if v else v)
+        return RationalAngle(Fraction(d - v.numerator, d) if v else v)
 
     def __eq__(self, other):
         return isinstance(other, RationalAngle) and self.value == other.value
@@ -107,47 +97,54 @@ ZERO = RationalAngle(0)
 
 
 class RationalRotationFamily:
-    """Indexed sequence n -> exact signed rotation amount of the n-th map.
+    """Indexed sequence n -> exact rotation amount of the n-th map.
 
-    ``rule(n)`` returns the displacement of f_n as a RationalAngle for n >= 1.
-    Steps are memoized, so each index calls ``rule`` once.  Flow displacements
-    (prefix sums mod 1) are kept as integers: ``_num[n]`` over ``_den[n]``,
-    where ``_den[n]`` is the running lcm of the step denominators, so a step
-    costs one multiply-add and at most one gcd, with no Fraction.  The angle of
-    a prefix is built only when ``displacement`` asks for it, once per |n|;
+    ``rule(n)`` returns the step of f_n, n >= 1, as a coprime int pair (a, b)
+    with 0 <= a < b; ``pairs`` reads them in index order, once each, checking
+    each denominator against the budget.  Flow displacements (prefix sums mod
+    1) are kept as integers: ``_num[n]`` over ``_den[n]``, where ``_den[n]`` is
+    the running lcm of the step denominators, so a step costs one multiply-add
+    and at most one gcd, with no Fraction.  The angle of a step or a prefix is
+    built only when ``step`` or ``displacement`` asks for it, once per index;
     negative times negate.
     """
 
-    def __init__(self, rule: Callable[[int], RationalAngle], name: str):
+    def __init__(self, rule: Callable[[int], tuple[int, int]], name: str):
         self.rule = rule
         self.name = name
+        self._pairs: list[tuple[int, int]] = []  # _pairs[n - 1] = step of f_n
         self._steps: dict[int, RationalAngle] = {}
         self._num = [0]  # displacement of omega_n is _num[n] / _den[n] in [0, 1)
         self._den = [1]
         self._angles: dict[int, RationalAngle] = {}
+
+    def pairs(self, n: int) -> list[tuple[int, int]]:
+        """The step list, read through f_n; a BudgetError keeps those before it."""
+        for k in range(len(self._pairs) + 1, n + 1):
+            _check_denominator((p := self.rule(k))[1])
+            self._pairs.append(p)
+        return self._pairs
 
     def step(self, n: int) -> RationalAngle:
         if n < 1:
             raise ValueError("step index must be >= 1")
         a = self._steps.get(n)
         if a is None:
-            a = self._steps[n] = self.rule(n)
+            a = self._steps[n] = RationalAngle(Fraction(*self.pairs(n)[n - 1]))
         return a
 
     def _extend(self, m: int) -> None:
-        """Prefix sums up to index m; a BudgetError leaves those before it."""
+        """Prefix sums up to index m."""
         nums, dens = self._num, self._den
         N, L = nums[-1], dens[-1]
-        for k in range(len(nums), m + 1):
-            v = self.step(k).value
-            d = v.denominator
+        for a, d in self.pairs(m)[len(nums) - 1:m]:
             q, rem = divmod(L, d)
             if rem:  # L grows to lcm(L, d); gcd(L, d) = gcd(rem, d)
                 f = d // math.gcd(rem, d)
                 N *= f
                 L *= f
                 q = L // d
-            N += v.numerator * q
+            N += a * q
             if N >= L:
                 N -= L
             # a prefix's reduced denominator divides L
@@ -175,8 +172,9 @@ class RationalRotationFamily:
         if r == 1:
             return self
 
-        def rule(k: int) -> RationalAngle:
-            return self.displacement(k * r) - self.displacement((k - 1) * r)
+        def rule(k: int) -> tuple[int, int]:
+            v = (self.displacement(k * r) - self.displacement((k - 1) * r)).value
+            return v.numerator, v.denominator
 
         return RationalRotationFamily(rule, f"{self.name}|blocks[r={r}]")
 

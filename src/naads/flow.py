@@ -12,7 +12,8 @@ family reads and extends it, reproducing these operation orders exactly:
 ascending for commutative families, blocks of one period for families with a
 declared period, and a per-time memo of omega otherwise (see FlowCache).
 While every map is a rotation, or a block of w rotations, FlowCache moves
-float points by one inline loop over their turns.
+float points by one inline loop over their turns; a rotation family with no
+rule reads them from its exact steps and builds no map until one is asked for.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 
 from .errors import BudgetError, ConstructionError
 from .exact import RationalRotationFamily, points_budget
-from .maps import Composite, Homeomorphism
+from .maps import CircleRotation, Composite, Homeomorphism
 from .space import BOUNDARY_TOL, Space, nearest_distance
 
 DEFAULT_HORIZON = 100_000
@@ -45,13 +46,15 @@ class MapFamily:
       has the same type and equal attributes.
 
     ``exact`` optionally carries the exact rational view of a rotation family.
+    With ``rule=None`` the family is that view: f_n rotates by the n-th step
+    pair (a, b), its turn is a / b, and a map is built only when asked for.
     The family also holds the trajectory store that its FlowCache views share.
     """
 
     def __init__(
         self,
         space: Space,
-        rule: Callable[[int], Homeomorphism],
+        rule: Optional[Callable[[int], Homeomorphism]],
         name: str,
         declared_commutative: bool = False,
         declared_isometric: bool = False,
@@ -67,6 +70,8 @@ class MapFamily:
             raise ConstructionError(
                 f"declared_period must be a positive int, got {declared_period!r}"
             )
+        if rule is None and exact is None:
+            raise ConstructionError("a family needs a rule or an exact view")
         self.space = space
         self.rule = rule
         self.name = name
@@ -78,10 +83,12 @@ class MapFamily:
         self._maps: list[Homeomorphism] = []  # _maps[n - 1] = f_n
         # the turns of f_1, f_2, ..., _width per map, and in _back the inverse
         # steps: negated, each map's last to first; until a map has no turns or
-        # another width
+        # another width.  Read off the maps, or off the exact steps if there is
+        # no rule, or off the base family's turns for a block family
         self._turns: list[float] | None = []
         self._back: list[float] = []
-        self._width = 0
+        self._width = 0 if rule else 1  # an exact step is one turn
+        self._blocks: tuple[MapFamily, int] | None = None  # (base, r) of a block family
         self._traj: dict = {}  # FlowCache's store: plain data, never a FlowCache
 
     def map_at(self, n: int) -> Homeomorphism:
@@ -90,13 +97,11 @@ class MapFamily:
         return self._maps_through(n)[n - 1]
 
     def _maps_through(self, n: int) -> list[Homeomorphism]:
-        """The map list, built through f_n, with the flat turns while they last.
-
-        Each new map is checked against the declarations before it is kept.
-        """
-        maps, turns, p = self._maps, self._turns, self.declared_period
+        """The map list through f_n, each new map checked against the declarations."""
+        maps, p = self._maps, self.declared_period
+        rule = self.rule or (lambda k: CircleRotation(self.exact.step(k).value))
         for k in range(len(maps) + 1, n + 1):
-            h = self.rule(k)
+            h = rule(k)
             if self.declared_commutative and (
                     h.kind is None or maps and h.kind != maps[0].kind):
                 raise ConstructionError(
@@ -111,14 +116,38 @@ class MapFamily:
                     f"{self.name!r} declares period {p}, but f_{k} differs "
                     f"from f_{k - p}")
             maps.append(h)
-            t = h.turns
-            if turns is not None and t and len(t) == (self._width or len(t)):
-                turns += t
-                self._back += [-a for a in reversed(t)]
-                self._width = len(t)
-            else:
-                self._turns = turns = None
         return maps
+
+    def _turns_through(self, n: int) -> list[float] | None:
+        """The flat turns, read through f_n, or None once they stop."""
+        turns, back, w = self._turns, self._back, self._width
+        if turns is None or n <= len(back) // (w or 1):
+            return turns
+        if self._blocks:
+            base, r = self._blocks
+            self._turns = turns = base._turns_through(n * r)
+            if turns is not None:  # each run reversed and negated into _back
+                w = self._width = base._width * r
+                back += [-a for i in range(len(back), n * w, w)
+                         for a in reversed(turns[i:i + w])]
+            return turns
+        if self.rule is None:
+            pairs, p = self.exact.pairs(n), self.declared_period
+            for k in range(max(len(turns), p or n), n):  # pairs[k] is the step of f_{k+1}
+                if pairs[k] != pairs[k - p]:
+                    raise ConstructionError(f"{self.name!r} declares period {p}, but "
+                                            f"f_{k + 1} differs from f_{k + 1 - p}")
+            turns += (new := [a / b for a, b in pairs[len(turns):n]])
+            back += [-a for a in new]
+            return turns
+        for h in self._maps_through(n)[len(back) // (w or 1):n]:
+            if not (t := h.turns) or len(t) != (self._width or len(t)):
+                self._turns = None
+                return None
+            turns += t
+            back += [-a for a in reversed(t)]
+            self._width = len(t)
+        return turns
 
     def __repr__(self):
         return f"MapFamily({self.name!r}, space={self.space.value})"
@@ -150,14 +179,13 @@ def _extend(family: MapFamily, traj: list, n: int, inverse: bool) -> None:
     in [0, 1), the range check of the first step holds at every later one.
     """
     lo, y = len(traj), traj[-1]
-    maps = family._maps_through(n)
-    w = family._width
-    if (family._turns is None or type(y) is not float
-            or not -BOUNDARY_TOL <= y < 1 + BOUNDARY_TOL):
-        for h in maps[lo - 1:n]:
+    if (type(y) is not float or not -BOUNDARY_TOL <= y < 1 + BOUNDARY_TOL
+            or family._turns_through(n) is None):
+        for h in family._maps_through(n)[lo - 1:n]:
             y = h.inverse(y) if inverse else h.forward(y)
             traj.append(y)
         return
+    w = family._width
     out = traj if w == 1 else []  # one value per turn; traj takes each w-th
     append = out.append
     for a in (family._back if inverse else family._turns)[(lo - 1) * w:n * w]:
@@ -292,7 +320,8 @@ def block_family(family: MapFamily, r: int) -> MapFamily:
 
     Block k applies f_{(k-1)r+1} first and f_{kr} last, so the block flow at
     time k equals the original flow at time k*r.  A declared period p becomes
-    p // gcd(p, r).  r = 1 returns the family unchanged.
+    p // gcd(p, r).  r = 1 returns the family unchanged.  Its turns are the
+    family's, r a run: one net turn per block would not round as r adds do.
     """
     if r < 1:
         raise ValueError("block size must be >= 1")
@@ -302,7 +331,7 @@ def block_family(family: MapFamily, r: int) -> MapFamily:
     def rule(k: int) -> Homeomorphism:
         return Composite([family.map_at((k - 1) * r + j) for j in range(1, r + 1)])
 
-    return MapFamily(
+    blocks = MapFamily(
         space=family.space,
         rule=rule,
         name=f"{family.name}|blocks[r={r}]",
@@ -312,6 +341,8 @@ def block_family(family: MapFamily, r: int) -> MapFamily:
         exact=family.exact.block(r) if family.exact is not None else None,
         declared_period=p // gcd(p, r) if (p := family.declared_period) else None,
     )
+    blocks._blocks = family, r
+    return blocks
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pytest
 from naads import checkers
 from naads import (
     BudgetError,
+    CircleRotation,
     Composite,
     MapFamily,
     PiecewiseLinear,
@@ -97,6 +98,14 @@ class TestReturnTimes:
     def test_validation(self, fam):
         with pytest.raises(ValueError):
             return_time_set(fam["identity"], 0.5, 0.0, 10)
+
+    @pytest.mark.parametrize("name", ["identity", "example2_powers"])
+    def test_nan_point_rejected_before_the_flow(self, name):
+        # a nan point returns nowhere, so the return list would be empty
+        family = corpus(name).family
+        with pytest.raises(ValueError, match="not a number"):
+            return_time_set(family, math.nan, 0.1, 3)
+        assert family._traj == {} and family._maps == []
 
 
 class TestAlmostPeriodicity:
@@ -342,7 +351,9 @@ class TestHullProperties:
         # one exact certificate on a rotation family; one check per hull
         # point on the same maps without the exact view
         exact_fam = corpus("circle_ex4").family
-        float_fam = MapFamily(exact_fam.space, exact_fam.rule, exact_fam.name,
+        float_fam = MapFamily(exact_fam.space,
+                              lambda n: CircleRotation(exact_fam.exact.step(n).value),
+                              exact_fam.name,
                               declared_commutative=True, declared_isometric=True)
         calls = []
 

@@ -172,7 +172,9 @@ def _reference_minimality(fam, eps, order_cap, depth, grid, cap):
 
 
 def _rule(values):
-    return lambda n: RationalAngle(values[(n - 1) % len(values)])
+    """The step rule of a cycle of ``values``: each value mod 1 as a coprime pair."""
+    steps = [(Fraction(v) % 1).as_integer_ratio() for v in values]
+    return lambda n: steps[(n - 1) % len(steps)]
 
 
 def _cycle(angles):
@@ -182,7 +184,7 @@ def _cycle(angles):
 def _inline_cycle(angles):
     return MapFamily(
         Space.CIRCLE,
-        lambda n: CircleRotation(angles[(n - 1) % len(angles)]),
+        None,
         "cycle",
         declared_commutative=True,
         declared_isometric=True,
@@ -289,7 +291,7 @@ class _ReferencePrefix:
 
     def step(self, n):
         if n not in self.steps:
-            self.steps[n] = self.rule(n).value
+            self.steps[n] = _reference_value(Fraction(*self.rule(n)))
         return self.steps[n]
 
     def displacement(self, n):
@@ -302,7 +304,8 @@ class _ReferencePrefix:
 
     def block(self, r):
         def rule(k):
-            return RationalAngle(self.displacement(k * r) - self.displacement((k - 1) * r))
+            v = _reference_value(self.displacement(k * r) - self.displacement((k - 1) * r))
+            return v.numerator, v.denominator
         return _ReferencePrefix(rule)
 
     def periodicity(self, r, horizon):
@@ -401,7 +404,7 @@ class TestPrefixSums:
         primes = _primes(1400)
         assert math.prod(primes[:1386]).bit_length() <= DENOMINATOR_BIT_BUDGET
         assert math.prod(primes[:1387]).bit_length() > DENOMINATOR_BIT_BUDGET
-        rule = lambda n: RationalAngle(Fraction(1, primes[n - 1]))  # noqa: E731
+        rule = lambda n: (1, primes[n - 1])  # noqa: E731
         fam, ref = RationalRotationFamily(rule, "primes"), _ReferencePrefix(rule)
         message = f"denominator exceeds {DENOMINATOR_BIT_BUDGET} bits"
         for n in (1386, 1387, -1387, 1390):

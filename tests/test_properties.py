@@ -628,16 +628,17 @@ class TestEpsDenseMatchesScan:
 
 def _rotation_cycle(angles):
     """The inline rotation family of ``angles`` and the same maps without ``exact``."""
+    steps = [(Fraction(a) % 1).as_integer_ratio() for a in angles]
     exact_fam = MapFamily(
         Space.CIRCLE,
-        lambda n: CircleRotation(angles[(n - 1) % len(angles)]),
+        None,
         "cycle",
         declared_commutative=True,
         declared_isometric=True,
-        exact=RationalRotationFamily(
-            lambda n: RationalAngle(angles[(n - 1) % len(angles)]), "cycle"),
+        exact=RationalRotationFamily(lambda n: steps[(n - 1) % len(steps)], "cycle"),
     )
-    float_fam = MapFamily(Space.CIRCLE, exact_fam.rule, "cycle",
+    float_fam = MapFamily(Space.CIRCLE,
+                          lambda n: CircleRotation(angles[(n - 1) % len(angles)]), "cycle",
                           declared_commutative=True, declared_isometric=True)
     return exact_fam, float_fam
 

@@ -123,8 +123,7 @@ class TestInlineRotationLoop:
     def test_matches_per_map_loop(self, angles, r, x, accesses):
         fam = block_family(_rotations(angles), r)
         _check_accesses(fam, x, accesses)
-        fam.map_at(1)
-        assert fam._width == r and fam._turns is not None
+        assert fam._turns_through(1) is not None and fam._width == r
 
     @settings(max_examples=100, deadline=None)
     @given(angles=st.lists(_ANGLE, min_size=1, max_size=4),
@@ -141,14 +140,13 @@ class TestInlineRotationLoop:
         cache = FlowCache(fam)
         for n in (-plain - 3, plain + 3):
             assert _outcome(cache.omega, n, x) == _outcome(_reference_omega, reference, n, x)
-        assert fam._turns is None
+        assert fam._turns_through(plain + 1) is None
 
     def test_width_change_drops_turns(self):
         maps = [CircleRotation(0.1), Composite([CircleRotation(0.2), CircleRotation(0.3)])]
         fam = MapFamily(Space.CIRCLE, lambda n: maps[n > 1], "widths",
                         declared_commutative=True)
-        fam.map_at(1)
-        assert fam._turns == [0.1] and fam._width == 1
+        assert fam._turns_through(1) == [0.1] and fam._width == 1
         _check_accesses(fam, 0.4, [("window", 5), ("omega", 7), ("omega", -7)])
         assert fam._turns is None
 
@@ -176,7 +174,9 @@ class TestMapList:
         fam = corpus("circle_ex4").family
         assert fam.map_at(9).angle == Fraction(1, 8)
         assert fam.map_at(1).angle == Fraction(1, 2)
-        assert len(fam._maps) == 9 and len(fam._turns) == 9
+        # maps are built on demand, and the turns are read apart from them
+        assert len(fam._maps) == 9 and fam._turns == []
+        assert len(fam._turns_through(9)) == 9 and len(fam._maps) == 9
 
     @pytest.mark.parametrize("n", [1, 2, 2999, 3000])
     def test_harmonic_steps_without_recursion(self, n):
