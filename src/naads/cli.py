@@ -1,9 +1,18 @@
 """Scenario-driven command line: load a family, run a checker, emit reports.
 
-Subcommands:
-    naads run <scenario.json>          run a scenario file
-    naads corpus list                  list built-in families
-    naads check <family> <task> [--param k=v ...]
+Command lines, read directly against these three forms:
+    naads [--no-timestamp] run SCENARIO      run a scenario file
+    naads [--no-timestamp] corpus list       list built-in families
+    naads [--no-timestamp] check FAMILY TASK [--param KEY=VALUE]... [--expect VERDICT]
+
+``-h`` or ``--help`` anywhere prints ``USAGE`` to stdout and exits 0.
+``--no-timestamp`` (which may repeat) stands before the command.  ``--param``
+and ``--expect`` may stand before, between or after FAMILY and TASK, with the
+value as the next argument (not starting with ``-``) or joined by ``=``
+(``--param=x=0.3``); ``--param`` repeats and the last ``--expect`` wins.
+Options are spelled in full, so ``--no-time`` is an unknown option.  Any
+other command line prints ``USAGE`` and one ``naads: error:`` line to stderr
+and exits 64.
 
 Scenario files are JSON objects::
 
@@ -32,7 +41,6 @@ Exit codes: 0 verdict matches (or no expectation), 1 expectation mismatch,
 
 from __future__ import annotations
 
-import argparse
 import csv
 import inspect
 import json
@@ -53,6 +61,21 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+
+USAGE = """\
+usage: naads [-h] [--no-timestamp] run SCENARIO
+       naads [-h] [--no-timestamp] corpus list
+       naads [-h] [--no-timestamp] check FAMILY TASK [--param KEY=VALUE]... [--expect VERDICT]
+
+  -h, --help         print this help and exit
+  --no-timestamp     omit the report timestamp, for byte-identical reruns
+  --param KEY=VALUE  a task parameter, repeatable; also --param=KEY=VALUE
+  --expect VERDICT   the expected verdict, the last one wins; also --expect=VERDICT
+Options are spelled in full; --param and --expect may stand anywhere after check.
+"""
+
+# The operands each command takes, as USAGE names them.
+_OPERANDS = {"run": ("SCENARIO",), "corpus": ("list",), "check": ("FAMILY", "TASK")}
 
 
 def _parse_value(text):
@@ -84,6 +107,8 @@ def _parse_value(text):
 
 
 def _pt(v) -> float:
+    if isinstance(v, bool):  # no checker parameter is boolean
+        raise SchemaError(f"expected a number, got {v!r}")
     try:
         x = float(Fraction(v)) if isinstance(v, str) else float(v)
     except (TypeError, ValueError, ArithmeticError):
@@ -95,7 +120,7 @@ def _pt(v) -> float:
 
 def _int(v) -> int:
     try:
-        if int(v) == Fraction(v):
+        if not isinstance(v, bool) and int(v) == Fraction(v):
             return int(v)
     except (TypeError, ValueError, ArithmeticError):
         pass
@@ -106,6 +131,8 @@ def _rat(v):
     """Keep exact rationals exact; floats pass through."""
     if isinstance(v, float):
         return v
+    if isinstance(v, bool):
+        raise SchemaError(f"expected a number, got {v!r}")
     try:
         return Fraction(v)
     except (TypeError, ValueError, ArithmeticError):
@@ -362,57 +389,74 @@ def list_corpus() -> str:
     return "\n".join(lines) + "\n"
 
 
+class _UsageError(Exception):
+    """A command line outside the grammar in USAGE."""
+
+
+def _parse(args):
+    """``(timestamp, command, operands, params, expect)`` of a command line.
+
+    The grammar is the module docstring's; anything else raises _UsageError.
+    """
+    timestamp, command = True, None
+    operands, params, expect = [], {}, None
+    rest = iter(args)
+    for arg in rest:
+        if command is None:
+            if arg == "--no-timestamp":
+                timestamp = False
+            elif arg in _OPERANDS:
+                command = arg
+            elif arg.startswith("-"):
+                raise _UsageError(f"unrecognized option {arg!r}")
+            else:
+                raise _UsageError(f"unknown command {arg!r}; expected run, corpus or check")
+            continue
+        if not arg.startswith("-") or arg == "-":
+            operands.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if command != "check" or name not in ("--param", "--expect"):
+            raise _UsageError(f"unrecognized option {arg!r} for {command}")
+        if not eq:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                raise _UsageError(f"option {name} expects a value")
+        if name == "--expect":
+            expect = value
+            continue
+        key, eq, value = value.partition("=")
+        if not eq:
+            raise _UsageError(f"bad --param {key!r}, expected KEY=VALUE")
+        params[key] = value
+    if command is None:
+        raise _UsageError("missing command: run, corpus or check")
+    arity = _OPERANDS[command]
+    if len(operands) != len(arity) or (command == "corpus" and operands != ["list"]):
+        raise _UsageError(f"{command} takes {' '.join(arity)}, got {operands}")
+    return timestamp, command, operands, params, expect
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="naads",
-        description="Finite-scale property lab for non-autonomous interval "
-        "and circle dynamics",
-    )
-    parser.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit the timestamp field so reports are byte-reproducible",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a scenario file")
-    p_run.add_argument("scenario")
-
-    p_corpus = sub.add_parser("corpus", help="corpus utilities")
-    p_corpus.add_argument("action", choices=["list"])
-
-    p_check = sub.add_parser("check", help="run one checker directly")
-    p_check.add_argument("family")
-    p_check.add_argument("task")
-    p_check.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE"
-    )
-    p_check.add_argument("--expect", default=None)
-
+    args = sys.argv[1:] if argv is None else argv
+    if "-h" in args or "--help" in args:
+        sys.stdout.write(USAGE)
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-
-    if args.command == "run":
-        return run_scenario(args.scenario, timestamp=not args.no_timestamp)
-
-    if args.command == "corpus":
+        timestamp, command, operands, params, expect = _parse(args)
+    except _UsageError as exc:
+        sys.stderr.write(f"{USAGE}naads: error: {exc}\n")
+        return EXIT_USAGE
+    if command == "run":
+        return run_scenario(operands[0], timestamp=timestamp)
+    if command == "corpus":
         sys.stdout.write(list_corpus())
         return EXIT_OK
-
-    # check
-    params = {}
-    for item in args.param:
-        if "=" not in item:
-            print(f"error: bad --param {item!r}, expected KEY=VALUE", file=sys.stderr)
-            return EXIT_USAGE
-        key, _, value = item.partition("=")
-        params[key] = value
-    scenario = {"family": args.family, "task": args.task, "params": params}
-    if args.expect is not None:
-        scenario["expect"] = args.expect
-    return _run_guarded(scenario, timestamp=not args.no_timestamp)
+    family, task = operands
+    scenario = {"family": family, "task": task, "params": params}
+    if expect is not None:
+        scenario["expect"] = expect
+    return _run_guarded(scenario, timestamp=timestamp)
 
 
 if __name__ == "__main__":

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable
 
 from .errors import BudgetError, SchemaError
 

@@ -19,9 +19,9 @@ rule reads them from its exact steps and builds no map until one is asked for.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Optional
 
 from .errors import BudgetError, ConstructionError
 from .exact import RationalRotationFamily, points_budget
@@ -54,12 +54,12 @@ class MapFamily:
     def __init__(
         self,
         space: Space,
-        rule: Optional[Callable[[int], Homeomorphism]],
+        rule: Callable[[int], Homeomorphism] | None,
         name: str,
         declared_commutative: bool = False,
         declared_isometric: bool = False,
         horizon: int = DEFAULT_HORIZON,
-        exact: Optional[RationalRotationFamily] = None,
+        exact: RationalRotationFamily | None = None,
         declared_period: int | None = None,
     ):
         if declared_period is not None and (

@@ -1,18 +1,22 @@
 """Scenario runner: schema validation, outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naads import CORPUS_NAMES, MapFamily, NaadsError, PropertyReport, checkers, corpus
+from naads import CORPUS_NAMES, MapFamily, NaadsError, PropertyReport, checkers, cli, corpus
 from naads.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
@@ -311,6 +315,183 @@ class TestCheckAndCorpus:
         assert main(["--no-timestamp", "run", path]) == code
 
 
+def _reference_parse(argv):
+    """What ``main`` did with ``argv`` when it read it with argparse.
+
+    The parser is the one ``main`` built on every call before it read argv
+    directly.  Returns ``("run", path, timestamp)``, ``("corpus",)`` or
+    ``("check", scenario, timestamp)`` for what ``main`` went on to call, or
+    the exit code of help (0) and of a usage error (64).
+    """
+    parser = argparse.ArgumentParser(prog="naads")
+    parser.add_argument("--no-timestamp", action="store_true")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("run").add_argument("scenario")
+    sub.add_parser("corpus").add_argument("action", choices=["list"])
+    p_check = sub.add_parser("check")
+    p_check.add_argument("family")
+    p_check.add_argument("task")
+    p_check.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
+    p_check.add_argument("--expect", default=None)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.redirect_stdout(io.StringIO()):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    if args.command == "run":
+        return ("run", args.scenario, not args.no_timestamp)
+    if args.command == "corpus":
+        return ("corpus",)
+    params = {}
+    for item in args.param:
+        if "=" not in item:
+            return EXIT_USAGE
+        key, _, value = item.partition("=")
+        params[key] = value
+    scenario = {"family": args.family, "task": args.task, "params": params}
+    if args.expect is not None:
+        scenario["expect"] = args.expect
+    return ("check", scenario, not args.no_timestamp)
+
+
+def _reached(monkeypatch, argv):
+    """What ``main`` calls for ``argv``, in ``_reference_parse``'s terms, and stderr."""
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", lambda path, timestamp: calls.append(
+        ("run", path, timestamp)) or EXIT_OK)
+    monkeypatch.setattr(cli, "_run_guarded", lambda scenario, timestamp: calls.append(
+        ("check", scenario, timestamp)) or EXIT_OK)
+    monkeypatch.setattr(cli, "list_corpus", lambda: calls.append(("corpus",)) or "")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if calls:
+        assert code == EXIT_OK and len(calls) == 1
+        return calls[0], err.getvalue()
+    return code, err.getvalue()
+
+
+_CHECK = ["check", "identity", "periodicity_check"]
+
+# Command lines on which main must do what the argparse parser led it to do.
+_ARGV = [
+    # each accepted form
+    ["run", "s.json"],
+    ["--no-timestamp", "run", "s.json"],
+    ["corpus", "list"],
+    ["--no-timestamp", "corpus", "list"],
+    _CHECK,
+    ["--no-timestamp", *_CHECK, "--param", "x=0.3", "--param", "r=2",
+     "--expect", "Certified"],
+    # check options before, between and after the operands
+    ["check", "--param", "x=0.3", "identity", "periodicity_check"],
+    ["check", "identity", "--expect", "Refuted", "periodicity_check", "--param", "r=2"],
+    ["check", "--expect", "Certified", "--param", "x=0.3", "identity",
+     "--param", "r=2", "periodicity_check"],
+    # joined values, repeats, values holding '=' or '-', empty values
+    [*_CHECK, "--param=x=0.3", "--expect=Certified"],
+    [*_CHECK, "--param", "x=a=b", "--param", "r=-2"],
+    [*_CHECK, "--expect", "Refuted", "--expect", "Certified"],
+    [*_CHECK, "--param", "r=2", "--param", "r=3"],
+    [*_CHECK, "--param", "x=", "--expect="],
+    ["--no-timestamp", "--no-timestamp", "run", "s.json"],
+    # help
+    ["--help"],
+    ["-h"],
+    [*_CHECK, "-h"],
+    ["run", "s.json", "--help"],
+    # usage errors
+    [],
+    ["--no-timestamp"],
+    ["bogus"],
+    ["--bogus", "run", "s.json"],
+    ["--no-timestamp=1", "run", "s.json"],
+    ["corpus"],
+    ["corpus", "bogus"],
+    ["corpus", "list", "extra"],
+    ["run"],
+    ["run", "a.json", "b.json"],
+    ["run", "s.json", "--param", "x=1"],
+    ["check", "identity"],
+    [*_CHECK, "extra"],
+    ["--seed", "7", *_CHECK],
+    [*_CHECK, "--seed", "7"],
+    [*_CHECK, "--param"],
+    [*_CHECK, "--expect"],
+    [*_CHECK, "--param", "--expect", "Certified"],
+    [*_CHECK, "--param", "x0.3"],
+    [*_CHECK, "--param="],
+    ["run", "--no-timestamp", "s.json"],
+    [*_CHECK, "--no-timestamp"],
+]
+
+
+class TestCommandLine:
+    """``main`` reads argv as the argparse parser it replaced did."""
+
+    @pytest.mark.parametrize("argv", _ARGV, ids=" ".join)
+    def test_same_as_reference_parser(self, monkeypatch, argv):
+        expected = _reference_parse(argv)
+        assert _reached(monkeypatch, argv)[0] == expected
+
+    @pytest.mark.parametrize("argv", [a for a in _ARGV if _reference_parse(a) == EXIT_USAGE],
+                             ids=" ".join)
+    def test_usage_error_prints_usage_and_one_error_line(self, monkeypatch, argv):
+        code, err = _reached(monkeypatch, argv)
+        assert code == EXIT_USAGE
+        assert err.startswith(cli.USAGE)
+        assert err[len(cli.USAGE):].startswith("naads: error: ")
+        assert err.count("\n", len(cli.USAGE)) == 1 and err.endswith("\n")
+        assert "error:" not in cli.USAGE
+
+    # Deliberate departures from the argparse parser, each with its reason.
+    @pytest.mark.parametrize("argv, reference, now", [
+        # argparse took any unambiguous prefix of an option; options are now
+        # spelled in full, as the README gives them
+        (["--no-time", "run", "s.json"], ("run", "s.json", False), EXIT_USAGE),
+        ([*_CHECK, "--par", "x=0.3"],
+         ("check", {"family": "identity", "task": "periodicity_check",
+                    "params": {"x": "0.3"}}, True), EXIT_USAGE),
+        ([*_CHECK, "--exp", "Certified"],
+         ("check", {"family": "identity", "task": "periodicity_check", "params": {},
+                    "expect": "Certified"}, True), EXIT_USAGE),
+        # '--' ended argparse's options; no documented form needs it
+        (["run", "--", "s.json"], ("run", "s.json", True), EXIT_USAGE),
+        # argparse took a negative number as an option's value; a value that
+        # starts with '-' now needs the joined form (--expect=-1), and was
+        # never a verdict anyway
+        ([*_CHECK, "--expect", "-1"],
+         ("check", {"family": "identity", "task": "periodicity_check", "params": {},
+                    "expect": "-1"}, True), EXIT_USAGE),
+        # -h or --help anywhere asks for help, also where argparse read it as
+        # a missing option value
+        ([*_CHECK, "--param", "-h"], EXIT_USAGE, EXIT_OK),
+    ], ids=["abbreviated-no-timestamp", "abbreviated-param", "abbreviated-expect",
+            "double-dash", "dash-value", "help-as-value"])
+    def test_departures(self, monkeypatch, argv, reference, now):
+        assert _reference_parse(argv) == reference
+        assert _reached(monkeypatch, argv)[0] == now
+
+    def test_no_parser_is_built(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("an ArgumentParser was built")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", build)
+        assert _reached(monkeypatch, ["--no-timestamp", *_CHECK, "--param", "x=0.3"])[0][0] \
+            == "check"
+        assert _reached(monkeypatch, ["--seed"])[0] == EXIT_USAGE
+
+    def test_import_needs_no_argparse_gettext_or_typing(self):
+        # -S: without it, site hooks import typing on Python 3.11
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import naads.cli; "
+                "print(sorted({'argparse', 'gettext', 'typing'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
+
+
 class TestBadInputExits64:
     @pytest.mark.parametrize("task, params", [
         ("orbit_density", ["x=0.1", "eps=0", "N=10"]),
@@ -469,6 +650,27 @@ class TestHostileParameters:
         family = corpus("example2_powers").family
         with pytest.raises(ValueError, match="^low_tol must be below high_tol$"):
             checkers.li_yorke_classify(family, 0.3, 0.6, 10, **tols)
+
+    # a boolean ran as 1: r=true refuted the period 2 that r=2 certifies
+    @pytest.mark.parametrize("task, params", [
+        ("periodicity_check", ["x=0.3", "r=true"]),
+        ("orbit_density", ["x=true", "eps=0.1", "N=true"]),
+        ("minimality_certificate", ["eps=true"]),
+        ("sensitivity_at_point", ["x=0.3", "radii=0.1,false"]),
+    ])
+    def test_boolean_is_not_a_number(self, capsys, task, params):
+        argv = ["--no-timestamp", "check", "circle_harmonic", task]
+        for item in params:
+            argv += ["--param", item]
+        assert main(argv) == EXIT_USAGE
+        assert re.fullmatch(r"error: expected an? (number|integer), got (True|False)\n",
+                            capsys.readouterr().err)
+
+    def test_boolean_scenario_value_is_not_a_number(self, tmp_path, capsys):
+        path = _scenario(tmp_path, {"family": "circle_harmonic", "task": "periodicity_check",
+                                    "params": {"x": 0.3, "r": True}})
+        assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: expected an integer, got True\n"
 
     # N = 0 and horizon = 0 stay valid: time 0 alone is scanned
     @pytest.mark.parametrize("task, params", [
