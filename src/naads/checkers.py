@@ -76,6 +76,13 @@ def _records_call(checker):
     return call
 
 
+def _require_number(*points):
+    """Reject a nan point: no map takes it, and it is near nothing, not even itself."""
+    for p in points:
+        if p != p:
+            raise DomainError(f"base point {p!r} is not a number")
+
+
 def _scan_times(n_max: int):
     yield 0
     for n in range(1, n_max + 1):
@@ -101,6 +108,7 @@ def periodicity_check(
         raise ValueError("period must be >= 1")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    _require_number(x)
     cache = FlowCache(family)
 
     if family.exact is not None:
@@ -149,8 +157,7 @@ def return_time_set(family: MapFamily, x, eps, n_max: int) -> ReturnTimeSet:
     """Times |n| <= n_max with d(omega_n(x), x) < eps, plus gap statistics."""
     if not eps > 0 or n_max < 1:  # also rejects eps = nan
         raise ValueError("need eps > 0 and window >= 1")
-    if x != x:  # a nan point returns nowhere, not even at time 0
-        raise DomainError(f"base point {x!r} is not a number")
+    _require_number(x)
     row = distances(family.space, FlowCache(family).window(x, n_max), repeat(x))
     times = [n for n, d in zip(range(-n_max, n_max + 1), row) if d < eps]
     internal, left, right = _gaps(times, n_max)
@@ -324,6 +331,7 @@ def proximal_liminf(family: MapFamily, x, y, n_max: int) -> ProximalExtremes:
         raise ValueError("window size must be >= 0")
     if n_max > family.horizon:  # the scan would reach the horizon and abort
         raise BudgetError(f"time {n_max} exceeds horizon {family.horizon}")
+    _require_number(x, y)
     cache = FlowCache(family)
     row = distances(family.space, cache.window(x, n_max), cache.window(y, n_max))
     best = worst = row[n_max]  # time 0
@@ -423,6 +431,7 @@ def sensitivity_at_point(
         delta = diameter(space) / 4
     if not 0 < delta < math.inf:  # also rejects delta = nan
         raise ValueError("delta must be positive and finite")
+    _require_number(x)
     cache = FlowCache(family)
     witnesses = []
     for radius in radii:
@@ -456,6 +465,7 @@ def _center_distances(family: MapFamily, x, eps, n_max: int):
     """
     if n_max < 0:
         raise ValueError("window size must be >= 0")
+    _require_number(x)
     space = family.space
     window = FlowCache(family).window(x, n_max)
     index = sorted(window)

@@ -262,11 +262,8 @@ def _task_result(name, task, result, family, params):
 
 
 def _write_outputs(outputs, rendered, family, task, params, result):
-    for out in outputs:
-        kind = out.get("kind")
-        path = out.get("path")
-        if kind not in OUTPUT_KINDS or not path:
-            raise SchemaError(f"bad output entry {out!r}")
+    for out in outputs:  # each a checked entry: a known kind and a path
+        kind, path = out["kind"], out["path"]
         if kind == "report":
             with open(path, "w") as fh:
                 fh.write(rendered)
@@ -298,24 +295,14 @@ def _write_outputs(outputs, rendered, family, task, params, result):
                 writer.writerow([w, repr(delta)])
 
 
-def _exit_code(result, expect: str | None) -> int:
+def _exit_code(result, expected: Verdict | None) -> int:
     if not isinstance(result, PropertyReport):
-        if expect is not None:
+        if expected is not None:
             raise SchemaError("'expect' is only valid for verdict-producing tasks")
         return EXIT_OK
-    if expect is not None:
-        try:
-            expected = Verdict(expect)
-        except ValueError:
-            raise SchemaError(f"unknown expected verdict {expect!r}") from None
-        if result.verdict is expected:
-            return EXIT_OK
-        if result.verdict is Verdict.INCONCLUSIVE_BUDGET:
-            return EXIT_INCONCLUSIVE
-        return EXIT_MISMATCH
-    if result.verdict is Verdict.INCONCLUSIVE_BUDGET:
+    if result.verdict is Verdict.INCONCLUSIVE_BUDGET and expected is not result.verdict:
         return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_OK if expected in (None, result.verdict) else EXIT_MISMATCH
 
 
 def run_scenario(path: str, timestamp: bool = True) -> int:
@@ -362,7 +349,8 @@ def _run_scenario_dict(scenario: dict, timestamp: bool) -> int:
     if not isinstance(outputs, list):
         raise SchemaError("'outputs' must be a list")
     for out in outputs:
-        if not isinstance(out, dict) or out.get("kind") not in OUTPUT_KINDS:
+        if not (isinstance(out, dict) and out.get("kind") in OUTPUT_KINDS
+                and isinstance(out.get("path"), str) and out["path"]):
             raise SchemaError(f"bad output entry {out!r}")
     known = set(TASKS[task].params).union(
         *(_OUTPUT_PARAMS[out["kind"]] for out in outputs))
@@ -370,6 +358,12 @@ def _run_scenario_dict(scenario: dict, timestamp: bool) -> int:
         raise SchemaError(f"unknown parameters {sorted(set(params) - known)} "
                           f"for {task}; known: {', '.join(sorted(known))}")
 
+    expected = scenario.get("expect")
+    if expected is not None:  # before the run, which a bad value would waste
+        try:
+            expected = Verdict(expected)
+        except ValueError:
+            raise SchemaError(f"unknown expected verdict {expected!r}") from None
     family = _load_family(scenario["family"])
     result = TASKS[task](family, params)
     rendered = _render_result(result, family, task, timestamp)
@@ -379,7 +373,7 @@ def _run_scenario_dict(scenario: dict, timestamp: bool) -> int:
     else:
         if isinstance(result, PropertyReport):
             print(f"verdict: {result.verdict.value}")
-    return _exit_code(result, scenario.get("expect"))
+    return _exit_code(result, expected)
 
 
 def list_corpus() -> str:

@@ -11,9 +11,9 @@ one.  Each family holds one trajectory store, and every FlowCache of the
 family reads and extends it, reproducing these operation orders exactly:
 ascending for commutative families, blocks of one period for families with a
 declared period, and a per-time memo of omega otherwise (see FlowCache).
-While every map is a rotation, or a block of w rotations, FlowCache moves
-float points by one inline loop over their turns; a rotation family with no
-rule reads them from its exact steps and builds no map until one is asked for.
+A rotation family with no rule, and a block family of one, moves float points
+by one inline loop over the float turns of its exact steps and builds no map
+until one is asked for; a family with a rule applies each map's forward/inverse.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class MapFamily:
 
     ``exact`` optionally carries the exact rational view of a rotation family.
     With ``rule=None`` the family is that view: f_n rotates by the n-th step
-    pair (a, b), its turn is a / b, and a map is built only when asked for.
+    pair (a, b), and a map is built only when asked for.  Flows run only these
+    turns a / b inline; a rule's maps, CircleRotation too, go through forward/inverse.
     The family also holds the trajectory store that its FlowCache views share.
     """
 
@@ -82,12 +83,11 @@ class MapFamily:
         self.declared_period = declared_period
         self._maps: list[Homeomorphism] = []  # _maps[n - 1] = f_n
         # the turns of f_1, f_2, ..., _width per map, and in _back the inverse
-        # steps: negated, each map's last to first; until a map has no turns or
-        # another width.  Read off the maps, or off the exact steps if there is
-        # no rule, or off the base family's turns for a block family
-        self._turns: list[float] | None = []
+        # steps: negated, each map's last to first.  Read off the exact steps with
+        # no rule; block_family shares its base's; None (per-map path) otherwise
+        self._turns: list[float] | None = None if rule else []
         self._back: list[float] = []
-        self._width = 0 if rule else 1  # an exact step is one turn
+        self._width = 1
         self._blocks: tuple[MapFamily, int] | None = None  # (base, r) of a block family
         self._traj: dict = {}  # FlowCache's store: plain data, never a FlowCache
 
@@ -119,34 +119,23 @@ class MapFamily:
         return maps
 
     def _turns_through(self, n: int) -> list[float] | None:
-        """The flat turns, read through f_n, or None once they stop."""
+        """The flat turns, read through f_n, or None for the per-map path."""
         turns, back, w = self._turns, self._back, self._width
-        if turns is None or n <= len(back) // (w or 1):
+        if turns is None or n * w <= len(back):
             return turns
-        if self._blocks:
+        if self._blocks:  # the base's turns, each run reversed and negated into _back
             base, r = self._blocks
-            self._turns = turns = base._turns_through(n * r)
-            if turns is not None:  # each run reversed and negated into _back
-                w = self._width = base._width * r
-                back += [-a for i in range(len(back), n * w, w)
-                         for a in reversed(turns[i:i + w])]
+            base._turns_through(n * r)
+            back += [-a for i in range(len(back), n * w, w)
+                     for a in reversed(turns[i:i + w])]
             return turns
-        if self.rule is None:
-            pairs, p = self.exact.pairs(n), self.declared_period
-            for k in range(max(len(turns), p or n), n):  # pairs[k] is the step of f_{k+1}
-                if pairs[k] != pairs[k - p]:
-                    raise ConstructionError(f"{self.name!r} declares period {p}, but "
-                                            f"f_{k + 1} differs from f_{k + 1 - p}")
-            turns += (new := [a / b for a, b in pairs[len(turns):n]])
-            back += [-a for a in new]
-            return turns
-        for h in self._maps_through(n)[len(back) // (w or 1):n]:
-            if not (t := h.turns) or len(t) != (self._width or len(t)):
-                self._turns = None
-                return None
-            turns += t
-            back += [-a for a in reversed(t)]
-            self._width = len(t)
+        pairs, p = self.exact.pairs(n), self.declared_period
+        for k in range(max(len(turns), p or n), n):  # pairs[k] is the step of f_{k+1}
+            if pairs[k] != pairs[k - p]:
+                raise ConstructionError(f"{self.name!r} declares period {p}, but "
+                                        f"f_{k + 1} differs from f_{k + 1 - p}")
+        turns += (new := [a / b for a, b in pairs[len(turns):n]])
+        back += [-a for a in new]
         return turns
 
     def __repr__(self):
@@ -342,6 +331,7 @@ def block_family(family: MapFamily, r: int) -> MapFamily:
         declared_period=p // gcd(p, r) if (p := family.declared_period) else None,
     )
     blocks._blocks = family, r
+    blocks._turns, blocks._width = family._turns, family._width * r
     return blocks
 
 

@@ -9,7 +9,6 @@ are expressed as a Composite with a Reflection.
 from __future__ import annotations
 
 import bisect
-import math
 from fractions import Fraction
 
 from .errors import ConstructionError, DomainError
@@ -17,8 +16,8 @@ from .space import BOUNDARY_TOL, wrap_circle
 
 
 def _unit_clamp(x):
-    """Clamp a value into [0, 1], rejecting anything clearly outside."""
-    if x < -BOUNDARY_TOL or x > 1 + BOUNDARY_TOL:
+    """Clamp a value into [0, 1], rejecting anything clearly outside, and NaN."""
+    if not -BOUNDARY_TOL <= x <= 1 + BOUNDARY_TOL:
         raise DomainError(f"point {x!r} outside [0, 1]")
     if x < 0:
         return 0.0
@@ -30,14 +29,11 @@ def _unit_clamp(x):
 class Homeomorphism:
     """Base class; subclasses implement forward and inverse evaluation.
 
-    ``turns``, unless None, holds the float angles of the rotations the map is
-    made of, first applied first; FlowCache then applies the map inline.
     ``kind`` names a class of maps that commute with each other ("rotation",
     "power"), or is None; ``isometric`` says that the map preserves distances.
     MapFamily checks its declarations against these two facts.
     """
 
-    turns = None
     kind = None
     isometric = False
 
@@ -130,8 +126,7 @@ class CircleRotation(Homeomorphism):
     Rational angles are kept exact; rotating a Fraction point by a rational
     angle stays in exact arithmetic, everything else runs in floats mod 1.
     A Fraction angle already in [0, 1) is kept as the same object, so a map
-    built from an exact step shares its value.  ``turns`` is the float angle
-    alone, or None if it is NaN, which no inline loop may carry.
+    built from an exact step shares its value.
     """
 
     kind = "rotation"
@@ -147,8 +142,6 @@ class CircleRotation(Homeomorphism):
             self.angle = float(angle) % 1.0
         a = self.angle  # float(Fraction) is this same correctly rounded int division
         self._angle_float = a if type(a) is float else a.numerator / a.denominator
-        if not math.isnan(self._angle_float):
-            self.turns = (self._angle_float,)
 
     def _shift(self, x, amount, amount_float):
         if isinstance(x, Fraction) and isinstance(self.angle, Fraction):
@@ -187,8 +180,6 @@ class Composite(Homeomorphism):
         if not maps:
             raise ConstructionError("composite needs at least one map")
         self.maps = maps
-        if all(h.turns for h in maps):
-            self.turns = tuple(a for h in maps for a in h.turns)
         if len({h.kind for h in maps}) == 1:
             self.kind = maps[0].kind
         self.isometric = all(h.isometric for h in maps)

@@ -10,6 +10,7 @@ from naads import (
     BudgetError,
     CircleRotation,
     Composite,
+    DomainError,
     MapFamily,
     PiecewiseLinear,
     PowerMap,
@@ -105,6 +106,29 @@ class TestReturnTimes:
         family = corpus(name).family
         with pytest.raises(ValueError, match="not a number"):
             return_time_set(family, math.nan, 0.1, 3)
+        assert family._traj == {} and family._maps == []
+
+
+class TestNanBasePoint:
+    """A nan point is in no space and no map takes it, so no checker gives it a
+    verdict, not even from a window or horizon of 0, where no map is applied."""
+
+    @pytest.mark.parametrize("name", ["identity", "circle_ex4"])
+    @pytest.mark.parametrize("check", [
+        lambda fam: periodicity_check(fam, math.nan, 2),
+        lambda fam: periodicity_check(fam, math.nan, 2, horizon=0),
+        lambda fam: hull_periodicity_property(fam, math.nan, 2),
+        lambda fam: orbit_density(fam, math.nan, 0.1, 0),
+        lambda fam: orbit_density(fam, math.nan, 0.1, 10),
+        lambda fam: proximal_liminf(fam, 0.3, math.nan, 0),
+        lambda fam: li_yorke_classify(fam, math.nan, 0.3, 0),
+        lambda fam: sensitivity_at_point(fam, math.nan, n_max=10),
+    ], ids=["periodicity", "periodicity-h0", "hull-periodicity", "density-N0",
+            "density-N10", "proximal-N0", "li-yorke-N0", "sensitivity"])
+    def test_rejected(self, name, check):
+        family = corpus(name).family
+        with pytest.raises(DomainError, match="not a number"):
+            check(family)
         assert family._traj == {} and family._maps == []
 
 

@@ -243,6 +243,34 @@ class TestSchemaErrors:
         })
         assert main(["run", path]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("entry", [
+        {"expect": "Bogus"},
+        {"expect": ["Certified"]},
+        {"outputs": [{"kind": "report"}]},
+        {"outputs": [{"kind": "orbit_csv", "path": ""}]},
+        {"outputs": [{"kind": "report", "path": True}]},
+    ], ids=["verdict", "verdict-list", "no-path", "empty-path", "bool-path"])
+    def test_bad_entry_exits_before_the_run(self, tmp_path, capsys, monkeypatch, entry):
+        def checker(*args, **kwargs):
+            pytest.fail("the checker ran")
+
+        monkeypatch.setattr(checkers, "periodicity_check", checker)
+        path = _scenario(tmp_path, {
+            "family": "circle_harmonic", "task": "periodicity_check",
+            "params": {"x": 0.3, "r": 2}, **entry,
+        })
+        assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_bad_expectation_exits_before_a_hostile_horizon(self, capsys):
+        # the run would end in exit 2, on the denominator budget
+        code = main(["check", "circle_harmonic", "periodicity_check", "--param", "x=0.3",
+                     "--param", "r=2", "--param", "horizon=1000000000000",
+                     "--expect", "Bogus"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unknown expected verdict 'Bogus'\n"
+
 
 class TestCheckAndCorpus:
     def test_corpus_list(self, capsys):

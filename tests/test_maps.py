@@ -11,8 +11,10 @@ from naads import (
     Composite,
     ConstructionError,
     DomainError,
+    MapFamily,
     PiecewiseLinear,
     PowerMap,
+    RationalRotationFamily,
     Reflection,
     Space,
     diameter,
@@ -105,6 +107,14 @@ class TestPowerMap:
         with pytest.raises(DomainError):
             PowerMap(2).forward(1.5)
 
+    @pytest.mark.parametrize("h", [
+        PowerMap(2), PiecewiseLinear([(0, 0), (0.5, 0.25), (1, 1)]), Reflection(),
+    ], ids=["power", "piecewise", "reflection"])
+    def test_nan_is_outside_the_interval(self, h):
+        for f in (h.forward, h.inverse):
+            with pytest.raises(DomainError, match="outside"):
+                f(math.nan)
+
 
 class TestCircleRotation:
     def test_rational_angle_stays_exact(self):
@@ -116,6 +126,8 @@ class TestCircleRotation:
         r = CircleRotation(0.75)
         assert r.forward(0.5) == pytest.approx(0.25)
         assert 0 <= r.forward(0.9999999999) < 1
+        assert CircleRotation(-0.25).angle == 0.75
+        assert CircleRotation(Fraction(5, 4))._angle_float == 0.25
 
     def test_reduced_fraction_angle_kept(self):
         a = Fraction(2, 7)
@@ -124,15 +136,22 @@ class TestCircleRotation:
         assert CircleRotation(Fraction(-5, 7)).angle == a
 
     def test_turns_equal_float_of_the_angle(self):
+        """An exact family's inline turn a / b is float(Fraction(a, b)) bit for bit."""
         rng = random.Random(7)
+        steps = []
         for _ in range(400):
             d = rng.getrandbits(rng.choice((8, 64, 1100, 4000))) + 1
             n = rng.randrange(-3 * d, 3 * d)
             if rng.random() < 0.5:  # float(n) and float(d) alone would overflow
                 d = (1 << 1100) + rng.getrandbits(1200)
                 n = rng.randrange(1 << 1050, d)
-            r = CircleRotation(Fraction(n, d))
-            assert r.turns[0].hex() == float(r.angle).hex()
+            steps.append(Fraction(n, d) % 1)
+        exact = RationalRotationFamily(
+            lambda k: (steps[k - 1].numerator, steps[k - 1].denominator), "steps")
+        fam = MapFamily(Space.CIRCLE, None, "steps", declared_commutative=True, exact=exact)
+        turns = fam._turns_through(len(steps))
+        assert [t.hex() for t in turns] == [float(a).hex() for a in steps]
+        assert fam.map_at(len(steps))._angle_float.hex() == float(steps[-1]).hex()
 
     def test_inverse_roundtrip(self):
         r = CircleRotation(Fraction(2, 7))

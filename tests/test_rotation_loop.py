@@ -1,7 +1,8 @@
 """The inline rotation loop of FlowCache against the per-map loop it replaces.
 
-Families whose maps all carry ``turns`` (rotations, and blocks of rotations)
-extend float trajectories without calling forward/inverse.  Every value must
+A family with no rule (exact rotation steps), and a block family of one,
+extends float trajectories along the float turns of its steps without calling
+forward/inverse; a family with a rule takes the per-map path.  Every value must
 equal, bit for bit, what one forward/inverse call per map gives, and every
 point the loop cannot take must raise the same error through that path.
 """
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 
 from naads import (
     CircleRotation,
-    Composite,
     DomainError,
     FlowCache,
     MapFamily,
+    RationalRotationFamily,
     Space,
     block_family,
     corpus,
@@ -49,22 +50,23 @@ def _outcome(f, *args):
     return type(y), repr(y)
 
 
-class _HiddenRotation(CircleRotation):
-    """A rotation without turns: the flow must take it through forward/inverse."""
-
-    def __init__(self, angle):
-        super().__init__(angle)
-        self.turns = None
-
-
-def _rotations(angles, cls=CircleRotation) -> MapFamily:
+def _rotations(angles) -> MapFamily:
+    """CircleRotation maps cycling through ``angles``, built by a rule."""
     return MapFamily(
         Space.CIRCLE,
-        lambda n: cls(angles[(n - 1) % len(angles)]),
+        lambda n: CircleRotation(angles[(n - 1) % len(angles)]),
         "random_rotations",
         declared_commutative=True,
         declared_isometric=True,
     )
+
+
+def _exact_rotations(angles) -> MapFamily:
+    """The same rotations as exact steps, a float angle taken at its exact value."""
+    steps = [(Fraction(a) % 1).as_integer_ratio() for a in angles]
+    exact = RationalRotationFamily(lambda n: steps[(n - 1) % len(steps)], "exact")
+    return MapFamily(Space.CIRCLE, None, "exact_rotations", declared_commutative=True,
+                     declared_isometric=True, exact=exact)
 
 
 def _check_accesses(fam, x, accesses):
@@ -121,47 +123,15 @@ class TestInlineRotationLoop:
     # block inverses subtract the turns of a block last to first
     @example(angles=[0.1, 0.7], r=2, x=0.3, accesses=[("omega", -5)])
     def test_matches_per_map_loop(self, angles, r, x, accesses):
-        fam = block_family(_rotations(angles), r)
-        _check_accesses(fam, x, accesses)
-        assert fam._turns_through(1) is not None and fam._width == r
-
-    @settings(max_examples=100, deadline=None)
-    @given(angles=st.lists(_ANGLE, min_size=1, max_size=4),
-           plain=st.integers(min_value=0, max_value=6), x=_POINT, accesses=_ACCESS)
-    def test_family_that_stops_having_turns(self, angles, plain, x, accesses):
-        """From map plain + 1 on, rotations hide their turns; values stay the same."""
-        def rule(n):
-            cls = CircleRotation if n <= plain else _HiddenRotation
-            return cls(angles[(n - 1) % len(angles)])
-
-        fam = MapFamily(Space.CIRCLE, rule, "stops", declared_commutative=True)
-        _check_accesses(fam, x, accesses)
-        reference = _rotations(angles, _HiddenRotation)
-        cache = FlowCache(fam)
-        for n in (-plain - 3, plain + 3):
-            assert _outcome(cache.omega, n, x) == _outcome(_reference_omega, reference, n, x)
-        assert fam._turns_through(plain + 1) is None
-
-    def test_width_change_drops_turns(self):
-        maps = [CircleRotation(0.1), Composite([CircleRotation(0.2), CircleRotation(0.3)])]
-        fam = MapFamily(Space.CIRCLE, lambda n: maps[n > 1], "widths",
-                        declared_commutative=True)
-        assert fam._turns_through(1) == [0.1] and fam._width == 1
-        _check_accesses(fam, 0.4, [("window", 5), ("omega", 7), ("omega", -7)])
-        assert fam._turns is None
+        inline = block_family(_exact_rotations(angles), r)
+        _check_accesses(inline, x, accesses)
+        assert inline._turns is not None
+        _check_accesses(block_family(_rotations(angles), r), x, accesses)
 
     def test_nan_angle_has_no_turns(self):
-        assert CircleRotation(math.nan).turns is None
         fam = _rotations([math.nan])
         # nan after one step, then the range check of the next step raises
         _check_accesses(fam, 0.3, [("omega", 1), ("omega", 2), ("omega", -2)])
-
-    def test_turns(self):
-        assert CircleRotation(Fraction(5, 4)).turns == (0.25,)
-        assert CircleRotation(-0.25).turns == (0.75,)
-        parts = [CircleRotation(Fraction(1, 3)), CircleRotation(0.5)]
-        assert Composite(parts).turns == (float(Fraction(1, 3)), 0.5)
-        assert Composite([parts[0], _HiddenRotation(0.5)]).turns is None
 
     def test_corpus_blocks_are_inline(self):
         fam = block_family(corpus("circle_harmonic").family, 3)
