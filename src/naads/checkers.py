@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import islice, repeat
@@ -595,12 +596,17 @@ def _exact_cover_miss(hull, grid: int, m: int, eps):
 
     On Q/Z d(c, x + a) = d(c - x, a), so each grid point x = j/grid queries the
     one sorted set at (c - x) mod 1, in integers over L = lcm(D, grid, m).
+    Every q in Z_L lies within floor(G/2) of the hull, G its widest circular
+    gap, so a hull whose floor(G/2) is under eps * L misses no pair.
     """
     if not m:  # eps = inf leaves no center to miss
         return None
     L = math.lcm(hull.denominator, grid, m)
     pts = [n * (L // hull.denominator) for n in hull.numerators]
     e = Fraction(eps)
+    gap = max([pts[0] + L - pts[-1], *map(operator.sub, pts[1:], pts)])
+    if gap // 2 * e.denominator < e.numerator * L:
+        return None
     for j in range(grid):
         for i in range(m):
             q = (i * (L // m) - j * (L // grid)) % L

@@ -29,10 +29,12 @@ accepted as "p/q" strings so exact tasks never pass through floats.
 
 Each task is the checker of that name.  Its parameter names, required
 parameters and defaults are read from the checker's signature; the one
-public rename is ``N`` for ``n_max``.  A task accepts its checker's
-parameters and the ones its requested outputs read, and nothing else.  A
-report's ``param.*`` lines are the checker's call record under the same
-public names: every checker parameter, passed or defaulted, and the family.
+public rename is ``N`` for ``n_max``.  A task takes an ``expect`` only if
+its checker's return annotation is PropertyReport.  A task accepts its
+checker's parameters and the ones its requested outputs read, and nothing
+else.  A report's ``param.*`` lines are the checker's call record under the
+same public names: every checker parameter, passed or defaulted, and the
+family.
 
 Exit codes: 0 verdict matches (or no expectation), 1 expectation mismatch,
 2 inconclusive-at-budget / budget abort, 64 usage or schema errors
@@ -173,7 +175,10 @@ class _Task:
 
     def __init__(self, name):
         self.name = name
-        _family, *args = inspect.signature(getattr(checkers, name)).parameters.values()
+        sig = inspect.signature(getattr(checkers, name), eval_str=True)
+        # only a PropertyReport carries a verdict to check an 'expect' against
+        self.gives_verdict = sig.return_annotation is PropertyReport
+        _family, *args = sig.parameters.values()
         # public name -> (checker parameter, coercion, required)
         self.spec = {
             checkers.PUBLIC_NAME.get(p.name, p.name): (
@@ -297,8 +302,6 @@ def _write_outputs(outputs, rendered, family, task, params, result):
 
 def _exit_code(result, expected: Verdict | None) -> int:
     if not isinstance(result, PropertyReport):
-        if expected is not None:
-            raise SchemaError("'expect' is only valid for verdict-producing tasks")
         return EXIT_OK
     if result.verdict is Verdict.INCONCLUSIVE_BUDGET and expected is not result.verdict:
         return EXIT_INCONCLUSIVE
@@ -364,6 +367,8 @@ def _run_scenario_dict(scenario: dict, timestamp: bool) -> int:
             expected = Verdict(expected)
         except ValueError:
             raise SchemaError(f"unknown expected verdict {expected!r}") from None
+        if not TASKS[task].gives_verdict:
+            raise SchemaError("'expect' is only valid for verdict-producing tasks")
     family = _load_family(scenario["family"])
     result = TASKS[task](family, params)
     rendered = _render_result(result, family, task, timestamp)

@@ -201,19 +201,33 @@ def exact_periodicity(
     positive side is; scanning positive j covers both signs.  The refutation
     witness is the smallest failing time (indices with vanishing displacement
     are skipped, they do not witness periodicity failure).
+
+    The scan reads the integer prefix numerators, extended in chunks of
+    multiples j..2j, so a refutation at time w reads at most 2w steps; only
+    the witness becomes an angle.  A chunk that hits the budget is read again
+    one multiple at a time, so the outcome, a witness before the overflow or
+    the BudgetError, is that of reading displacement(j * r) for each j.
     """
     if r < 1:
         raise ValueError("period must be >= 1")
-    for j in range(1, horizon + 1):
-        d = fam.displacement(j * r)
-        if not d.is_zero:
+    nums = fam._num
+    j = 1
+    while j <= horizon:
+        hi = min(horizon, 2 * j)
+        try:
+            fam._extend(hi * r)
+        except BudgetError:
+            hi = next(i for i in range(j, hi + 1) if not fam.displacement(i * r).is_zero)
+        w = next((t for t in range(j * r, hi * r + 1, r) if nums[t]), None)
+        if w is not None:
             return PeriodicityResult(
                 certified=False,
                 period=r,
                 horizon=horizon,
-                witness_time=j * r,
-                witness_displacement=d,
+                witness_time=w,
+                witness_displacement=fam.displacement(w),
             )
+        j = hi + 1
     return PeriodicityResult(certified=True, period=r, horizon=horizon)
 
 

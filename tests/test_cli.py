@@ -212,6 +212,26 @@ class TestSchemaErrors:
         })
         assert main(["run", path]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("task, params", [
+        # at N=100000 the run itself would exit 2, on the denominator budget
+        ("return_time_set", {"x": 0.3, "eps": 0.1, "N": 100000}),
+        ("proximal_liminf", {"x": 0.3, "y": 0.5, "N": 10}),
+    ])
+    def test_expect_on_non_verdict_task_exits_before_the_run(
+            self, tmp_path, capsys, monkeypatch, task, params):
+        def fail(*args, **kwargs):
+            pytest.fail("the family was built or the checker ran")
+
+        monkeypatch.setattr(checkers, task, fail)
+        monkeypatch.setattr(cli, "_load_family", fail)
+        path = _scenario(tmp_path, {
+            "family": "circle_ex4", "task": task, "params": params, "expect": "Certified",
+        })
+        assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'expect' is only valid for verdict-producing tasks\n"
+
     @pytest.mark.parametrize("params", [
         {"x": [0.3], "N": 5},
         {"x": 0.3, "N": [5]},

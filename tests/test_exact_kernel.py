@@ -25,6 +25,7 @@ from naads import (
     RationalRotationFamily,
     Space,
     Verdict,
+    checkers,
     corpus,
     exact_hull_displacements,
     exact_periodicity,
@@ -262,6 +263,16 @@ class TestMinimalityCoverTest:
              order_cap=2, depth=4, grid=16, env=None)  # dmin == eps exactly
     @example(angles=[Fraction(1, 4)], eps=Fraction(1, 16), as_float=True,
              order_cap=2, depth=4, grid=16, env=None)
+    # G is the hull's widest circular gap, in units of 1/L: floor(G/2) = eps * L
+    # exactly, so the pair loop runs, and it finds dmin = eps at q = 1/8
+    @example(angles=[Fraction(1, 4)], eps=Fraction(1, 8), as_float=False,
+             order_cap=2, depth=4, grid=16, env=None)
+    # floor(G/2) = eps * L, but the gap's midpoint 1/2 is no lattice point c - x
+    @example(angles=[Fraction(1, 6)], eps=Fraction(1, 3), as_float=False,
+             order_cap=1, depth=1, grid=3, env=None)
+    # floor(G/2) > eps * L, and every lattice point is within eps of the hull
+    @example(angles=[Fraction(1, 4)], eps=Fraction(2, 9), as_float=False,
+             order_cap=1, depth=1, grid=3, env=None)
     def test_matches_sorted_scan(self, angles, eps, as_float, order_cap, depth, grid, env):
         if as_float:
             eps = float(eps)
@@ -309,17 +320,17 @@ class _ReferencePrefix:
         return _ReferencePrefix(rule)
 
     def periodicity(self, r, horizon):
-        """(certified, witness_time, str(witness_displacement)) of exact_periodicity."""
+        """(certified, witness_time, witness_displacement.value) of exact_periodicity."""
         for j in range(1, horizon + 1):
             d = self.displacement(j * r)
             if d != 0:
-                return False, j * r, str(d)
+                return False, j * r, d
         return True, None, None
 
 
 def _periodicity_outcome(result):
     return result.certified, result.witness_time, (
-        None if result.witness_displacement is None else str(result.witness_displacement))
+        None if result.witness_displacement is None else result.witness_displacement.value)
 
 
 def _same_displacement(fam, ref, n):
@@ -372,10 +383,14 @@ class TestPrefixSums:
     @example(values=[Fraction(1, 4), Fraction(-1, 4)], r=2, horizon=5)  # certified
     @example(values=[Fraction(1, 2), 0, Fraction(1, 3)], r=1, horizon=4)  # zero prefixes skipped
     def test_periodicity_results(self, values, r, horizon):
-        fam = _cycle(values)
-        ref = _ReferencePrefix(_rule(values))
+        calls = []
+        rule = _rule(values)
+        fam = RationalRotationFamily(lambda n: calls.append(n) or rule(n), "cycle")
+        ref = _ReferencePrefix(rule)
         got = _periodicity_outcome(exact_periodicity(fam, r, horizon))
         assert got == ref.periodicity(r, horizon)
+        if not got[0]:  # a refutation at w reads at most 2w steps
+            assert len(calls) <= 2 * got[1]
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(step_value, min_size=1, max_size=6), times=signed_times)
@@ -414,6 +429,38 @@ class TestPrefixSums:
             _same_displacement(fam, ref, n)
         assert fam.displacement(1386).value == sum(Fraction(1, p) for p in primes[:1386]) % 1
 
+    @pytest.mark.parametrize("r", [1386, 1387])
+    def test_periodicity_at_the_budget_edge(self, r):
+        # the family above: the scan of multiples 1..2 overflows at prefix 1387,
+        # and still refutes at 1386 when r = 1386; r = 1387 raises as before
+        primes = _primes(2 * 1387)
+        calls = []
+        rule = lambda n: (1, primes[n - 1])  # noqa: E731
+        fam = RationalRotationFamily(lambda n: calls.append(n) or rule(n), "primes")
+        ref = _ReferencePrefix(rule)
+        got = _outcome(lambda: _periodicity_outcome(exact_periodicity(fam, r, 5)))
+        want = _outcome(ref.periodicity, r, 5)
+        assert got == want
+        if r == 1386:
+            assert want[1][:2] == (False, 1386)
+            assert len(calls) <= 2 * 1386
+        else:
+            assert want == (BudgetError, f"denominator exceeds {DENOMINATOR_BIT_BUDGET} bits")
+
+    @pytest.mark.parametrize("values, r", [
+        ([Fraction(1, 2), Fraction(1, OVER)], 1),  # refuted at 1, step 2 over the budget
+        ([0, Fraction(1, 3), 0, Fraction(1, OVER)], 2),  # refuted at 2, step 4 over
+        ([0, Fraction(1, OVER), Fraction(1, 2)], 1),  # step 2 over, before any witness
+    ])
+    def test_periodicity_with_a_step_over_the_budget(self, values, r):
+        calls = []
+        rule = _rule(values)
+        fam = RationalRotationFamily(lambda n: calls.append(n) or rule(n), "cycle")
+        got = _outcome(lambda: _periodicity_outcome(exact_periodicity(fam, r, 5)))
+        assert got == _outcome(_ReferencePrefix(rule).periodicity, r, 5)
+        if got[0] is tuple:  # refuted, with at most 2w steps read
+            assert not got[1][0] and len(calls) <= 2 * got[1][1]
+
 
 def _reference_identity_blocks(family, r, probe):
     """The earlier probe: every block displacement up to ``probe`` vanishes."""
@@ -441,3 +488,45 @@ class TestIdentityBlockProbe:
         want = _reference_identity_blocks(corpus(name).family, r, 20)
         assert rep.details["identity_blocks"] is want
         assert rep.details["identity_block_probe"] == 20
+
+
+def _count_calls(monkeypatch, owner, name):
+    """The argument tuples of each call of ``owner.name`` from here on; the calls still run."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWorkCounts:
+    def test_periodicity_builds_only_the_witness_angle(self, monkeypatch):
+        fam = corpus("circle_harmonic").exact
+        calls = _count_calls(monkeypatch, RationalRotationFamily, "displacement")
+        assert exact_periodicity(fam, 2, 1000).certified
+        assert calls == []
+        res = exact_periodicity(fam, 3, 1000)
+        assert (res.certified, res.witness_time) == (False, 3)
+        assert calls == [(fam, 3)]
+
+    def test_certifying_cover_evaluates_no_pair(self, monkeypatch):
+        # one bisection per (grid point, center) pair the cover test evaluates
+        pairs = _count_calls(monkeypatch, checkers, "bisect_left")
+        per_order = []
+        cover = checkers._exact_cover_miss
+
+        def counted_cover(*args):
+            before = len(pairs)
+            miss = cover(*args)
+            per_order.append(len(pairs) - before)
+            return miss
+
+        monkeypatch.setattr(checkers, "_exact_cover_miss", counted_cover)
+        rep = minimality_certificate(corpus("circle_ex4").family, Fraction(1, 8), 9, 8, 32)
+        assert (rep.verdict, rep.details["k"]) == (Verdict.CERTIFIED, 9)
+        # orders 1..8 miss at their second pair; order 9's widest gap decides it
+        assert per_order == [2] * 8 + [0]
