@@ -19,7 +19,6 @@ from .errors import (
 )
 from .exact import (
     HullDisplacements,
-    PeriodicityResult,
     RationalAngle,
     RationalRotationFamily,
     exact_hull_displacements,
@@ -97,7 +96,6 @@ __all__ = [
     "HullSample",
     "MapFamily",
     "NaadsError",
-    "PeriodicityResult",
     "PiecewiseLinear",
     "PowerMap",
     "PreconditionError",

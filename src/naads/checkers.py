@@ -109,13 +109,15 @@ def periodicity_check(
         raise ValueError("period must be >= 1")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    if not tol >= 0:  # also rejects a nan tolerance
+        raise ValueError("tol must be >= 0")
     _require_number(x)
     cache = FlowCache(family)
 
     if family.exact is not None:
         # a witness past the family horizon would abort below all the same
-        res = exact_periodicity(family.exact, r, min(horizon, family.horizon // r))
-        if res.certified:
+        n = exact_periodicity(family.exact, r, min(horizon, family.horizon // r))
+        if n is None:
             row = cache.window(x, horizon * r)[::r]  # times j * r, |j| <= horizon
             max_dev = max(distances(family.space, row, repeat(x)))
             return PropertyReport(
@@ -123,7 +125,6 @@ def periodicity_check(
                 Verdict.CERTIFIED,
                 details={"max_deviation": max_dev, "mode": "exact"},
             )
-        n = res.witness_time
         dev = metric(family.space, cache.omega(n, x), x)
         return PropertyReport(
             "periodicity",
@@ -131,7 +132,7 @@ def periodicity_check(
             witnesses=[Witness("point_return", (x,), (n,), (dev,))],
             details={
                 "mode": "exact",
-                "witness_displacement": str(res.witness_displacement),
+                "witness_displacement": family.exact.displacement(n),
             },
         )
 
@@ -574,7 +575,7 @@ def r_transitivity_check(
     if family.exact is not None:
         probe = min(n_max, 200)
         # block k is disp(kr) - disp((k-1)r), so all blocks vanish iff every disp(kr) does
-        identity = exact_periodicity(family.exact, r, probe).certified
+        identity = exact_periodicity(family.exact, r, probe) is None
         rep.details["identity_blocks"] = identity
         rep.details["identity_block_probe"] = probe
     return PropertyReport("r_transitivity", rep.verdict, witnesses=rep.witnesses,

@@ -6,8 +6,8 @@ decided (within a finite horizon) instead of merely evidenced.  Angles are in
 turns; arbitrary-precision numerators and denominators come from
 fractions.Fraction, with a denominator-bit budget guarding pathological
 requests.  Steps are coprime int pairs a/b in [0, 1), and flow prefix sums
-and hulls integer numerators over one denominator; all become angles only
-when asked for.  Sums of angles fold into [0, 1) by one add or subtract of 1.
+and hulls integer numerators over one denominator; a step or a displacement
+is read out as a reduced Fraction in [0, 1).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def _check_denominator(den: int) -> None:
 
 
 class RationalAngle:
-    """An exact circle point or displacement: a rational in [0, 1) turns."""
+    """An exact circle point: a rational in [0, 1) turns, checked on the budget."""
 
     __slots__ = ("value",)
 
@@ -48,31 +48,11 @@ class RationalAngle:
     def __setattr__(self, name, value):
         raise AttributeError("RationalAngle is immutable")
 
-    @classmethod
-    def parse(cls, text: str) -> "RationalAngle":
-        return cls(Fraction(text))
-
-    def __add__(self, other):
-        s = self.value + other.value  # in [0, 2)
-        return RationalAngle(s - 1 if s.numerator >= s.denominator else s)
-
-    def __sub__(self, other):
-        s = self.value - other.value  # in (-1, 1)
-        return RationalAngle(s + 1 if s.numerator < 0 else s)
-
-    def __neg__(self):
-        v = self.value
-        d = v.denominator
-        return RationalAngle(Fraction(d - v.numerator, d) if v else v)
-
     def __eq__(self, other):
         return isinstance(other, RationalAngle) and self.value == other.value
 
     def __hash__(self):
         return hash(self.value)
-
-    def __lt__(self, other):
-        return self.value < other.value
 
     def __float__(self):
         return float(self.value)
@@ -83,18 +63,6 @@ class RationalAngle:
     def __str__(self):
         return str(self.value)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def distance(self, other: "RationalAngle") -> Fraction:
-        """Exact circle metric min(|a-b|, 1-|a-b|)."""
-        d = abs(self.value - other.value)
-        return min(d, 1 - d)
-
-
-ZERO = RationalAngle(0)
-
 
 class RationalRotationFamily:
     """Indexed sequence n -> exact rotation amount of the n-th map.
@@ -104,19 +72,17 @@ class RationalRotationFamily:
     each denominator against the budget.  Flow displacements (prefix sums mod
     1) are kept as integers: ``_num[n]`` over ``_den[n]``, where ``_den[n]`` is
     the running lcm of the step denominators, so a step costs one multiply-add
-    and at most one gcd, with no Fraction.  The angle of a step or a prefix is
-    built only when ``step`` or ``displacement`` asks for it, once per index;
-    negative times negate.
+    and at most one gcd, with no Fraction.  ``displacement`` reduces a prefix
+    to a Fraction once per index; negative times negate.
     """
 
     def __init__(self, rule: Callable[[int], tuple[int, int]], name: str):
         self.rule = rule
         self.name = name
         self._pairs: list[tuple[int, int]] = []  # _pairs[n - 1] = step of f_n
-        self._steps: dict[int, RationalAngle] = {}
         self._num = [0]  # displacement of omega_n is _num[n] / _den[n] in [0, 1)
         self._den = [1]
-        self._angles: dict[int, RationalAngle] = {}
+        self._reduced: dict[int, Fraction] = {}
 
     def pairs(self, n: int) -> list[tuple[int, int]]:
         """The step list, read through f_n; a BudgetError keeps those before it."""
@@ -125,13 +91,10 @@ class RationalRotationFamily:
             self._pairs.append(p)
         return self._pairs
 
-    def step(self, n: int) -> RationalAngle:
+    def step(self, n: int) -> Fraction:
         if n < 1:
             raise ValueError("step index must be >= 1")
-        a = self._steps.get(n)
-        if a is None:
-            a = self._steps[n] = RationalAngle(Fraction(*self.pairs(n)[n - 1]))
-        return a
+        return Fraction(*self.pairs(n)[n - 1])
 
     def _extend(self, m: int) -> None:
         """Prefix sums up to index m."""
@@ -153,17 +116,15 @@ class RationalRotationFamily:
             nums.append(N)
             dens.append(L)
 
-    def displacement(self, n: int) -> RationalAngle:
-        """Exact displacement of the flow at signed time n; 0 at n = 0."""
+    def displacement(self, n: int) -> Fraction:
+        """Exact displacement of the flow at signed time n, in [0, 1); 0 at n = 0."""
         m = abs(n)
         if m >= len(self._num):
             self._extend(m)
-        if not self._num[m]:
-            return ZERO
-        d = self._angles.get(m)
+        d = self._reduced.get(m)
         if d is None:
-            d = self._angles[m] = RationalAngle(Fraction(self._num[m], self._den[m]))
-        return -d if n < 0 else d
+            d = self._reduced[m] = Fraction(self._num[m], self._den[m])
+        return 1 - d if n < 0 and d else d
 
     def block(self, r: int) -> "RationalRotationFamily":
         """Exact view of the r-step block family."""
@@ -173,29 +134,17 @@ class RationalRotationFamily:
             return self
 
         def rule(k: int) -> tuple[int, int]:
-            v = (self.displacement(k * r) - self.displacement((k - 1) * r)).value
-            return v.numerator, v.denominator
+            v = self.displacement(k * r) - self.displacement((k - 1) * r)
+            return (v + 1 if v < 0 else v).as_integer_ratio()
 
         return RationalRotationFamily(rule, f"{self.name}|blocks[r={r}]")
 
 
-@dataclass(frozen=True)
-class PeriodicityResult:
-    """Outcome of the exact period-r check over a finite horizon."""
+def exact_periodicity(fam: RationalRotationFamily, r: int, horizon: int) -> int | None:
+    """The first time j*r, 1 <= j <= horizon, at which the flow moves, else None.
 
-    certified: bool
-    period: int
-    horizon: int
-    witness_time: int | None = None
-    witness_displacement: RationalAngle | None = None
-
-
-def exact_periodicity(
-    fam: RationalRotationFamily, r: int, horizon: int
-) -> PeriodicityResult:
-    """Certify or refute that every point has period r, at all |j| <= horizon.
-
-    A rotation flow fixes every point or none, so the check is
+    None certifies that every point has period r at all |j| <= horizon.  A
+    rotation flow fixes every point or none, so the check is
     point-independent: certificate iff the displacement at j*r vanishes for
     all j.  Displacements at -n are exact negations, hence zero iff the
     positive side is; scanning positive j covers both signs.  The refutation
@@ -203,10 +152,10 @@ def exact_periodicity(
     are skipped, they do not witness periodicity failure).
 
     The scan reads the integer prefix numerators, extended in chunks of
-    multiples j..2j, so a refutation at time w reads at most 2w steps; only
-    the witness becomes an angle.  A chunk that hits the budget is read again
-    one multiple at a time, so the outcome, a witness before the overflow or
-    the BudgetError, is that of reading displacement(j * r) for each j.
+    multiples j..2j, so a refutation at time w reads at most 2w steps.  A
+    chunk that hits the budget is read again one multiple at a time, so the
+    outcome, a witness before the overflow or the BudgetError, is that of
+    reading displacement(j * r) for each j.
     """
     if r < 1:
         raise ValueError("period must be >= 1")
@@ -217,18 +166,12 @@ def exact_periodicity(
         try:
             fam._extend(hi * r)
         except BudgetError:
-            hi = next(i for i in range(j, hi + 1) if not fam.displacement(i * r).is_zero)
+            hi = next(i for i in range(j, hi + 1) if fam.displacement(i * r))
         w = next((t for t in range(j * r, hi * r + 1, r) if nums[t]), None)
         if w is not None:
-            return PeriodicityResult(
-                certified=False,
-                period=r,
-                horizon=horizon,
-                witness_time=w,
-                witness_displacement=fam.displacement(w),
-            )
+            return w
         j = hi + 1
-    return PeriodicityResult(certified=True, period=r, horizon=horizon)
+    return None
 
 
 @dataclass(frozen=True)
@@ -241,8 +184,6 @@ class HullDisplacements:
 
     numerators: tuple[int, ...]
     denominator: int
-    order_k: int
-    depth: int
     budget_exhausted: bool
     stabilized: bool
 
@@ -280,7 +221,7 @@ def exact_hull_displacements(
     if order_k < 1 or depth < 1:
         raise ValueError("order_k and depth must be >= 1")
     cap = points_budget(max_size, 65536)
-    gens = {fam.displacement(r).value for r in range(-order_k, order_k + 1)}
+    gens = {fam.displacement(r) for r in range(-order_k, order_k + 1)}
     D = math.lcm(*(g.denominator for g in gens))
     generators = sorted(g.numerator * (D // g.denominator) for g in gens)
     check_budget = D.bit_length() > DENOMINATOR_BIT_BUDGET
@@ -313,8 +254,6 @@ def exact_hull_displacements(
     return HullDisplacements(
         numerators=tuple(sorted(current)),
         denominator=D,
-        order_k=order_k,
-        depth=depth,
         budget_exhausted=exhausted,
         stabilized=stabilized,
     )

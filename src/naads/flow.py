@@ -10,7 +10,7 @@ period) are checked on every map it builds, so a flow never rests on a false
 one.  Each family holds one trajectory store, and every FlowCache of the
 family reads and extends it, reproducing these operation orders exactly:
 ascending for commutative families, blocks of one period for families with a
-declared period, and a per-time memo of omega otherwise (see FlowCache).
+declared period; other families' backward values come from omega itself.
 A rotation family with no rule, and a block family of one, moves float points
 by one inline loop over the float turns of its exact steps and builds no map
 until one is asked for; a family with a rule applies each map's forward/inverse.
@@ -99,7 +99,7 @@ class MapFamily:
     def _maps_through(self, n: int) -> list[Homeomorphism]:
         """The map list through f_n, each new map checked against the declarations."""
         maps, p = self._maps, self.declared_period
-        rule = self.rule or (lambda k: CircleRotation(self.exact.step(k).value))
+        rule = self.rule or (lambda k: CircleRotation(self.exact.step(k)))
         for k in range(len(maps) + 1, n + 1):
             h = rule(k)
             if self.declared_commutative and (
@@ -196,7 +196,7 @@ class FlowCache:
     Fraction(1, 2) and 0.5 are equal and hash alike but have different
     trajectories.  Tag "+" is the forward trajectory [x, omega_1(x), ...],
     extended one map at a time as omega's loop does, inline over the family's
-    turns where it has them (see _extend).  Backward values use one of three
+    turns where it has them (see _extend).  Backward values use one of two
     strategies, chosen from the family's declarations when the cache is made:
 
     * commutative ascending (tag "-"): entry m is omega_{-m}(x), extended by
@@ -208,9 +208,9 @@ class FlowCache:
       omega's descending loop applies f_m^{-1}, ..., f_1^{-1}; as
       f_{k+p} = f_k, its first s maps are f_s^{-1}, ..., f_1^{-1} and the
       rest are j copies of that block, so both paths make the same float
-      operations in the same order and agree bit for bit;
-    * per-time memo (any other family, tag n < 0): each omega(n, x) is
-      computed by omega and kept, O(|n|) map applications per value.
+      operations in the same order and agree bit for bit.
+
+    Any other family's backward values come from omega itself, uncached.
 
     ``window`` extends the trajectories once and assembles its list by
     slicing.  Confine a family, views and all, to one worker, or wrap it yourself.
@@ -244,12 +244,6 @@ class FlowCache:
                 traj.append(y)
         return traj
 
-    def _memo(self, x, n: int):
-        key = (type(x), x, n)
-        if key not in self._store:
-            self._store[key] = omega(self.family, n, x)
-        return self._store[key]
-
     def omega(self, n: int, x):
         fam = self.family
         if abs(n) > fam.horizon:
@@ -269,7 +263,7 @@ class FlowCache:
         elif self._period:
             i, tag = divmod(-n, self._period)
         else:
-            return self._memo(x, n)
+            return omega(fam, n, x)
         key = (type(x), x, tag)
         traj = self._store.get(key)
         if traj is None or len(traj) <= i:
@@ -301,7 +295,7 @@ class FlowCache:
                 j = (n_max - s) // p
                 back[s::p] = self._grow(key + (s,), j)[:j + 1]
             return back[n_max:0:-1] + forward
-        return [self._memo(x, -m) for m in range(n_max, 0, -1)] + forward
+        return [omega(self.family, -m, x) for m in range(n_max, 0, -1)] + forward
 
 
 def block_family(family: MapFamily, r: int) -> MapFamily:
@@ -340,15 +334,11 @@ class HullSample:
     """Finite deduplicated approximation of an order-k truncated hull.
 
     ``points`` lists points in discovery order (breadth-first by word length,
-    then by flow index ascending); no two are closer than dedup_eps.
+    then by flow index ascending), no two closer than hull_sample's dedup_eps.
     ``stabilized`` records that an expansion round added nothing, i.e. the
     sample is closed under the truncated flow at this tolerance.
     """
 
-    base: float
-    order_k: int
-    depth: int
-    dedup_eps: float
     points: list = field(default_factory=list)
     budget_exhausted: bool = False
     stabilized: bool = False
@@ -407,12 +397,4 @@ def hull_sample(
             stabilized = True
             break
         frontier = new
-    return HullSample(
-        base=x,
-        order_k=order_k,
-        depth=depth,
-        dedup_eps=dedup_eps,
-        points=points,
-        budget_exhausted=exhausted,
-        stabilized=stabilized,
-    )
+    return HullSample(points=points, budget_exhausted=exhausted, stabilized=stabilized)

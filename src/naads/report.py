@@ -48,7 +48,10 @@ def format_value(v) -> str:
     if isinstance(v, Verdict):
         return v.value
     if isinstance(v, Fraction):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:  # decimal past Python's int-string limit
+            return f"{v.numerator:#x}/{v.denominator:#x}"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, (list, tuple)):

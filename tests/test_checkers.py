@@ -376,7 +376,7 @@ class TestHullProperties:
         # point on the same maps without the exact view
         exact_fam = corpus("circle_ex4").family
         float_fam = MapFamily(exact_fam.space,
-                              lambda n: CircleRotation(exact_fam.exact.step(n).value),
+                              lambda n: CircleRotation(exact_fam.exact.step(n)),
                               exact_fam.name,
                               declared_commutative=True, declared_isometric=True)
         calls = []

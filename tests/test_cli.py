@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naads import CORPUS_NAMES, MapFamily, NaadsError, PropertyReport, checkers, cli, corpus
+from naads import (
+    CORPUS_NAMES,
+    MapFamily,
+    NaadsError,
+    PropertyReport,
+    checkers,
+    cli,
+    corpus,
+    format_value,
+)
 from naads.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
@@ -646,6 +655,12 @@ class TestHostileParameters:
          "horizon must be >= 0"),
         ("circle_harmonic", "hull_periodicity_property", ["x=0.1", "r=2", "horizon=-3"],
          "horizon must be >= 0"),
+        # a negative tolerance refuted the identity's period 2 at distance 0.0
+        ("identity", "periodicity_check", ["x=0.3", "r=2", "tol=-1"], "tol must be >= 0"),
+        ("circle_harmonic", "periodicity_check", ["x=0.3", "r=2", "tol=-1"],
+         "tol must be >= 0"),
+        ("circle_harmonic", "hull_periodicity_property", ["x=0.3", "r=2", "tol=-1"],
+         "tol must be >= 0"),
         # declared isometries skipped the equicontinuity scan that rejects eps
         ("circle_ex4", "hull_closure_equality", ["x=0.3", "eps=-1"],
          "eps must be positive"),
@@ -698,6 +713,36 @@ class TestHostileParameters:
         family = corpus("example2_powers").family
         with pytest.raises(ValueError, match="^low_tol must be below high_tol$"):
             checkers.li_yorke_classify(family, 0.3, 0.6, 10, **tols)
+
+    # nan does not parse on the command line; a library call must not get a verdict
+    @pytest.mark.parametrize("family, task", [
+        ("identity", "periodicity_check"),
+        ("circle_harmonic", "periodicity_check"),
+        ("circle_harmonic", "hull_periodicity_property"),
+    ])
+    def test_periodicity_rejects_nan_tolerance(self, family, task):
+        with pytest.raises(ValueError, match="^tol must be >= 0$"):
+            getattr(checkers, task)(corpus(family).family, 0.3, 2, tol=math.nan)
+
+    # the witness H_11001 has a 15,871-bit denominator, inside the budget, whose
+    # decimal form is past Python's int-string limit: it used to exit 64
+    def test_refutation_with_a_long_witness(self, capsys):
+        argv = ["--no-timestamp", "check", "circle_harmonic", "periodicity_check",
+                "--param", "x=0.3", "--param", "r=22001", "--param", "horizon=1",
+                "--expect", "Refuted"]
+        assert main(argv) == EXIT_OK
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        num, den = lines["detail.witness_displacement"].split("/")
+        assert num.startswith("0x") and den.startswith("0x")
+        witness = Fraction(int(num, 16), int(den, 16))
+        assert witness == corpus("circle_harmonic").exact.displacement(22001)
+        assert witness.denominator.bit_length() == 15871
+
+    def test_fraction_rendering(self):
+        # decimal wherever Python prints it, hexadecimal past its int-string limit
+        assert format_value(Fraction(5, 6)) == "5/6"
+        assert format_value(Fraction(7)) == "7"
+        assert format_value(Fraction(1, 3 ** 10000)) == f"0x1/{3 ** 10000:#x}"
 
     # a boolean ran as 1: r=true refuted the period 2 that r=2 certifies
     @pytest.mark.parametrize("task, params", [

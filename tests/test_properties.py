@@ -16,7 +16,6 @@ from naads import (
     PowerMap,
     PreconditionError,
     PropertyReport,
-    RationalAngle,
     RationalRotationFamily,
     Space,
     Verdict,
@@ -157,21 +156,6 @@ class TestRotationKernel:
             h.forward(x)
         with pytest.raises(DomainError):
             h.inverse(x)
-
-
-class TestExactInvariants:
-    @given(a=small_frac, b=small_frac)
-    def test_angle_group_inverse(self, a, b):
-        x, y = RationalAngle(a), RationalAngle(b)
-        assert x + y - y == x
-        assert (x + (-x)).is_zero
-
-    @given(a=small_frac, b=small_frac)
-    def test_angle_distance_matches_float_metric(self, a, b):
-        x, y = RationalAngle(a), RationalAngle(b)
-        d = x.distance(y)
-        assert 0 <= d <= Fraction(1, 2)
-        assert abs(float(d) - metric(Space.CIRCLE, float(x), float(y))) < 1e-12
 
 
 class TestFlowInvariants:

@@ -152,8 +152,8 @@ class TestMapList:
     def test_harmonic_steps_without_recursion(self, n):
         entry = corpus("circle_harmonic")
         h = sum(Fraction(1, k) for k in range(1, (n + 1) // 2 + 1))
-        assert entry.exact.step(n).value == (h if n % 2 else -h) % 1
-        assert entry.family.map_at(n).angle is entry.exact.step(n).value
+        assert entry.exact.step(n) == (h if n % 2 else -h) % 1
+        assert entry.family.map_at(n).angle == entry.exact.step(n)
 
     def test_harmonic_steps_in_order(self):
         entry = corpus("circle_harmonic")
@@ -161,17 +161,17 @@ class TestMapList:
         for n in range(1, 3001):
             if n % 2:
                 h += Fraction(1, (n + 1) // 2)
-            v, ref = entry.exact.step(n).value, (h if n % 2 else -h) % 1
+            v, ref = entry.exact.step(n), (h if n % 2 else -h) % 1
             # an unreduced Fraction compares unequal to its reduced twin
             assert math.gcd(v.numerator, v.denominator) == 1
             assert v == ref and hash(v) == hash(ref)
-            assert entry.family.map_at(n).angle is v
+            assert entry.family.map_at(n).angle == v
 
     def test_ex4_steps_in_lowest_terms(self):
         entry = corpus("circle_ex4")
         for n in range(1, 1001):  # blocks (+a, -a, -a, +a), a = 2^-k
             sign = 1 if n % 4 in (0, 1) else -1
-            v, ref = entry.exact.step(n).value, Fraction(sign, 2 ** ((n + 3) // 4)) % 1
+            v, ref = entry.exact.step(n), Fraction(sign, 2 ** ((n + 3) // 4)) % 1
             assert math.gcd(v.numerator, v.denominator) == 1
             assert v == ref and hash(v) == hash(ref)
-            assert entry.family.map_at(n).angle is v
+            assert entry.family.map_at(n).angle == v

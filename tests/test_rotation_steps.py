@@ -50,7 +50,7 @@ def _cycle(angles):
 def _corpus(name):
     """A corpus rotation family, and a reference over a second copy's exact steps."""
     steps = corpus(name).exact
-    return corpus(name).family, _reference(lambda n: steps.step(n).value)
+    return corpus(name).family, _reference(steps.step)
 
 
 def _outcome(f, *args):
@@ -144,8 +144,8 @@ class TestCorpusFamilies:
         _same_accesses(fam, ref, x, [("window", n)])
         got = FlowCache(fam).window(x, n)
         assert all(type(v) is Fraction for v in got)
-        # the maps built on demand hold the exact steps' own values
-        assert all(fam.map_at(k).angle is fam.exact.step(k).value
+        # the maps built on demand hold the exact steps' values
+        assert all(fam.map_at(k).angle == fam.exact.step(k)
                    for k in range(1, n + 1))
 
     def test_harmonic_budget_at_the_same_index(self, monkeypatch):
