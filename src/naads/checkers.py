@@ -282,8 +282,8 @@ def equicontinuity_modulus(
     N, 2N, 4N: a strictly shrinking trend (or no passing candidate) is
     evidence against equicontinuity.
     """
-    if not eps > 0:  # also rejects eps = nan
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:  # also rejects eps = nan
+        raise ValueError("eps must be positive and finite")
     if n_max < 0:
         raise ValueError("window size must be >= 0")
     if 4 * n_max > family.horizon:  # no window may reach past the family
@@ -426,8 +426,8 @@ def sensitivity_at_point(
     A ball's sample windows are read at min(N, 16), and at N only if no pair
     separates there, so a witness is the first separation in time order.
     """
-    if samples < 2 or any(not r > 0 for r in radii):  # also rejects r = nan
-        raise ValueError("need samples >= 2 and positive radii")
+    if samples < 2 or any(not 0 < r < math.inf for r in radii):  # also rejects r = nan
+        raise ValueError("need samples >= 2 and positive finite radii")
     space = family.space
     if delta is None:
         delta = diameter(space) / 4
@@ -600,8 +600,6 @@ def _exact_cover_miss(hull, grid: int, m: int, eps):
     Every q in Z_L lies within floor(G/2) of the hull, G its widest circular
     gap, so a hull whose floor(G/2) is under eps * L misses no pair.
     """
-    if not m:  # eps = inf leaves no center to miss
-        return None
     L = math.lcm(hull.denominator, grid, m)
     pts = [n * (L // hull.denominator) for n in hull.numerators]
     e = Fraction(eps)

@@ -7,8 +7,9 @@ factors are applied in ascending index order instead (mathematically equal,
 and it makes backward windows incremental); non-commutative families use the
 literal descending order.  A family's declarations (commutative, isometric,
 period) are checked on every map it builds, so a flow never rests on a false
-one.  Each family holds one trajectory store, and every FlowCache of the
-family reads and extends it, reproducing these operation orders exactly:
+one.  Each family holds one trajectory store.  A FlowCache holds only the
+family, and one routine of it finds, starts and extends every stored
+trajectory, reproducing these operation orders exactly:
 ascending for commutative families, blocks of one period for families with a
 declared period; other families' backward values come from omega itself.
 A rotation family with no rule, and a block family of one, moves float points
@@ -189,15 +190,15 @@ def _extend(family: MapFamily, traj: list, n: int, inverse: bool) -> None:
 class FlowCache:
     """Memoized flow evaluation; cached values equal fresh omega() bit-for-bit.
 
-    A FlowCache is a cheap view of its family's one trajectory store: all views
-    of a family read and extend the same trajectories.  The store has no cap
-    and lives as long as the family.  It holds every value, keyed by
-    (type(x), x, tag):
+    A FlowCache is a view that holds only its family: every trajectory lives
+    in the family's one store, so all views of a family read and extend the
+    same trajectories.  The store has no cap and lives as long as the family.
+    It holds every value, keyed by (type(x), x, tag):
     Fraction(1, 2) and 0.5 are equal and hash alike but have different
     trajectories.  Tag "+" is the forward trajectory [x, omega_1(x), ...],
     extended one map at a time as omega's loop does, inline over the family's
     turns where it has them (see _extend).  Backward values use one of two
-    strategies, chosen from the family's declarations when the cache is made:
+    strategies, chosen from the family's declarations:
 
     * commutative ascending (tag "-"): entry m is omega_{-m}(x), extended by
       f_m^{-1} -- the ascending order omega itself uses for these families --
@@ -211,37 +212,30 @@ class FlowCache:
       operations in the same order and agree bit for bit.
 
     Any other family's backward values come from omega itself, uncached.
-
-    ``window`` extends the trajectories once and assembles its list by
-    slicing.  Confine a family, views and all, to one worker, or wrap it yourself.
+    ``omega`` and ``window`` both read the trajectories through ``_traj``.
+    Confine a family, views and all, to one worker, or wrap it yourself.
     """
 
     def __init__(self, family: MapFamily):
         self.family = family
-        self._store = family._traj
-        self._commutative = family.declared_commutative
-        self._period = family.declared_period
 
-    def _grow(self, key, i: int, traj=None) -> list:
-        """The backward trajectory stored under ``key``, extended through entry i.
-
-        ``traj`` is the list already stored under ``key``, if the caller
-        looked it up.
-        """
-        fam, (_, x, tag) = self.family, key
+    def _traj(self, x, tag, i: int) -> list:
+        """x's trajectory under ``tag``, started if missing and extended through entry i."""
+        fam = self.family
+        traj = fam._traj.get(key := (type(x), x, tag))
         if traj is None:
-            traj = self._store.get(key)
-        if traj is None:
-            traj = self._store[key] = [x if tag == "-" else omega(fam, -tag, x)]
-        if tag == "-":
-            _extend(fam, traj, i, True)
-        elif len(traj) <= i:
-            block = [fam.map_at(k).inverse for k in range(self._period, 0, -1)]
-            y = traj[-1]
-            while len(traj) <= i:
-                for inverse in block:
-                    y = inverse(y)
-                traj.append(y)
+            traj = fam._traj[key] = [x if tag in ("+", "-") else omega(fam, -tag, x)]
+        if len(traj) > i:
+            return traj
+        if tag in ("+", "-"):
+            _extend(fam, traj, i, tag == "-")
+            return traj
+        block = [fam.map_at(k).inverse for k in range(fam.declared_period, 0, -1)]
+        y = traj[-1]
+        while len(traj) <= i:
+            for inverse in block:
+                y = inverse(y)
+            traj.append(y)
         return traj
 
     def omega(self, n: int, x):
@@ -250,52 +244,32 @@ class FlowCache:
             raise BudgetError(f"time {n} exceeds horizon {fam.horizon}")
         if n == 0:
             return x
-        if n > 0:  # inline: hull enumeration makes many short forward misses
-            key = (type(x), x, "+")
-            traj = self._store.get(key)
-            if traj is None:
-                traj = self._store[key] = [x]
-            if len(traj) <= n:
-                _extend(fam, traj, n, False)
-            return traj[n]
-        if self._commutative:
-            tag, i = "-", -n
-        elif self._period:
-            i, tag = divmod(-n, self._period)
-        else:
-            return omega(fam, n, x)
-        key = (type(x), x, tag)
-        traj = self._store.get(key)
-        if traj is None or len(traj) <= i:
-            traj = self._grow(key, i, traj)
-        return traj[i]
+        if n > 0:
+            return self._traj(x, "+", n)[n]
+        if fam.declared_commutative:
+            return self._traj(x, "-", -n)[-n]
+        if p := fam.declared_period:
+            i, s = divmod(-n, p)
+            return self._traj(x, s, i)[i]
+        return omega(fam, n, x)
 
     def window(self, x, n_max: int) -> list:
-        """Flow values at times -n_max..n_max, index i holding time i - n_max.
-
-        Just two slices when x's stored commutative trajectories reach n_max.
-        """
+        """Flow values at times -n_max..n_max, index i holding time i - n_max."""
+        fam = self.family
         if n_max < 0:
             raise ValueError("window size must be >= 0")
-        if n_max > self.family.horizon:
-            raise BudgetError(f"time {-n_max} exceeds horizon {self.family.horizon}")
-        key = (type(x), x)
-        if self._commutative:
-            forward, back = self._store.get(key + ("+",)), self._store.get(key + ("-",))
-            if forward and back and min(len(forward), len(back)) > n_max:
-                return back[n_max:0:-1] + forward[:n_max + 1]
-        self.omega(n_max, x)  # extends the forward trajectory
-        forward = self._store.get(key + ("+",), [x])[:n_max + 1]
-        if self._commutative:
-            return self._grow(key + ("-",), n_max)[n_max:0:-1] + forward
-        p = self._period
-        if p:
+        if n_max > fam.horizon:
+            raise BudgetError(f"time {-n_max} exceeds horizon {fam.horizon}")
+        forward = self._traj(x, "+", n_max)[:n_max + 1]
+        if fam.declared_commutative:
+            return self._traj(x, "-", n_max)[n_max:0:-1] + forward
+        if p := fam.declared_period:
             back = [None] * (n_max + 1)  # back[m] = omega_{-m}(x)
             for s in range(min(p, n_max + 1)):
                 j = (n_max - s) // p
-                back[s::p] = self._grow(key + (s,), j)[:j + 1]
+                back[s::p] = self._traj(x, s, j)[:j + 1]
             return back[n_max:0:-1] + forward
-        return [omega(self.family, -m, x) for m in range(n_max, 0, -1)] + forward
+        return [omega(fam, -m, x) for m in range(n_max, 0, -1)] + forward
 
 
 def block_family(family: MapFamily, r: int) -> MapFamily:

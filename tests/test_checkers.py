@@ -227,9 +227,10 @@ class TestSensitivity:
         # the small ball is the one an isometry can never expand
         assert rep.details["unexpanded_radius"] == 0.01
 
-    @pytest.mark.parametrize("radii", [(math.nan,), (0.1, math.nan), (0.1, 0.0)])
+    @pytest.mark.parametrize("radii", [(math.nan,), (0.1, math.nan), (0.1, 0.0),
+                                       (0.1, math.inf)])
     def test_radius_must_be_positive(self, fam, radii):
-        with pytest.raises(ValueError, match="positive radii"):
+        with pytest.raises(ValueError, match="positive finite radii"):
             sensitivity_at_point(fam["example2_powers"], 0.3, radii=radii, n_max=10)
 
     def test_second_call_reads_the_family_store(self, monkeypatch):

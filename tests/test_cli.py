@@ -265,6 +265,30 @@ class TestSchemaErrors:
         assert captured.out == ""
         assert "'name' must be a string" in captured.err
 
+    _TASK = {"task": "periodicity_check", "params": {"x": 0.2, "r": 2}}
+
+    @pytest.mark.parametrize("scenario, message", [
+        ([1, 2], "scenario must be a JSON object"),
+        ({"task": "periodicity_check"}, "scenario needs 'family' and 'task'"),
+        ({"family": "identity", "task": "periodicity_check", "params": [0.2, 2]},
+         "'params' must be an object"),
+        ({"family": "identity", **_TASK, "outputs": {"kind": "report"}},
+         "'outputs' must be a list"),
+        ({"family": {"kind": "rotations", "angles": []}, **_TASK},
+         "inline rotations need a non-empty 'angles' list"),
+        ({"family": {"kind": "powers"}, **_TASK},
+         "inline powers need a non-empty 'exponents' list"),
+        ({"family": {"kind": "cubes"}, **_TASK}, "unknown inline family kind 'cubes'"),
+        ({"family": 7, **_TASK},
+         "'family' must be a corpus name or an inline spec object"),
+    ], ids=["not-object", "no-family", "params", "outputs", "angles", "exponents",
+            "kind", "family-type"])
+    def test_schema_error(self, tmp_path, capsys, scenario, message):
+        assert cli.run_scenario(_scenario(tmp_path, scenario)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unknown_expected_verdict(self, tmp_path):
         path = _scenario(tmp_path, {
             "family": "identity", "task": "periodicity_check",
@@ -668,6 +692,22 @@ class TestHostileParameters:
          "eps must be positive"),
         ("identity", "hull_closure_equality", ["x=0.3", "eps=0"],
          "eps must be positive"),
+        # an infinite eps or radius gave verdicts on identity and a nan point
+        # on circles; dichotomy_scan, which passes eps on as a radius, exited 2
+        ("identity", "equicontinuity_modulus", ["eps=inf"],
+         "eps must be positive and finite"),
+        ("example2_powers", "equicontinuity_modulus", ["eps=inf"],
+         "eps must be positive and finite"),
+        ("circle_harmonic", "equicontinuity_modulus", ["eps=inf"],
+         "eps must be positive and finite"),
+        ("identity", "dichotomy_scan", ["eps=inf", "N=5"],
+         "eps must be positive and finite"),
+        ("identity", "sensitivity_at_point", ["x=0.3", "radii=inf"],
+         "need samples >= 2 and positive finite radii"),
+        ("example2_powers", "sensitivity_at_point", ["x=0.3", "radii=inf"],
+         "need samples >= 2 and positive finite radii"),
+        ("circle_harmonic", "sensitivity_at_point", ["x=0.3", "radii=0.1,inf"],
+         "need samples >= 2 and positive finite radii"),
     ])
     def test_empty_scans_are_usage_errors(self, capsys, family, task, params, message):
         argv = ["--no-timestamp", "check", family, task]
@@ -701,11 +741,13 @@ class TestHostileParameters:
         with pytest.raises(ValueError, match="^eps must be positive$"):
             checkers.hull_closure_equality(corpus(family).family, 0.3, math.nan)
 
-    # nan does not parse on the command line; a library call must not get a verdict
+    # nan does not parse on the command line; a library call must not get a
+    # verdict, nor may inf, which gave one on identity and a nan point on circles
+    @pytest.mark.parametrize("eps", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("family", ["circle_harmonic", "example2_powers"])
-    def test_equicontinuity_rejects_nan_eps(self, family):
-        with pytest.raises(ValueError, match="^eps must be positive$"):
-            checkers.equicontinuity_modulus(corpus(family).family, math.nan)
+    def test_equicontinuity_rejects_nan_eps(self, family, eps):
+        with pytest.raises(ValueError, match="^eps must be positive and finite$"):
+            checkers.equicontinuity_modulus(corpus(family).family, eps)
 
     # a nan tolerance orders below nothing, so no verdict can rest on it
     @pytest.mark.parametrize("tols", [{"low_tol": math.nan}, {"high_tol": math.nan}])

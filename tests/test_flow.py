@@ -169,12 +169,13 @@ class TestPeriodicStore:
         assert fam.declared_period == 2 and not fam.declared_commutative
 
     def test_one_trajectory_store(self):
-        cache = FlowCache(corpus("example1_tent_sqrt").family)
+        fam = corpus("example1_tent_sqrt").family
+        cache = FlowCache(fam)
         cache.window(0.3, 7)
         cache.omega(-9, Fraction(1, 3))
-        assert [k for k, v in vars(cache).items() if isinstance(v, dict)] == ["_store"]
+        assert vars(cache) == {"family": fam}  # the view keeps no state of its own
         # one forward and two residue trajectories per base point
-        assert {k[2] for k in cache._store if k[1] == 0.3} == {"+", 0, 1}
+        assert {k[2] for k in fam._traj if k[1] == 0.3} == {"+", 0, 1}
 
     @pytest.mark.parametrize("x", [0, 0.0, Fraction(1, 2), 0.5, 0.3])
     def test_example1_windows_and_times(self, x):
