@@ -22,9 +22,9 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import islice, repeat
 
-from .errors import BudgetError, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .exact import exact_hull_displacements, exact_periodicity
-from .flow import FlowCache, MapFamily, block_family, hull_sample
+from .flow import FlowCache, MapFamily, block_family, check_window, hull_sample
 from .report import ProximalExtremes, PropertyReport, ReturnTimeSet, Verdict, Witness
 from .space import (
     Space,
@@ -40,7 +40,6 @@ from .space import (
 )
 
 FLOW_TOL = 1e-9
-ASYMPTOTIC_TOL = 1e-3
 LI_YORKE_LOW_TOL = 1e-3
 LI_YORKE_HIGH_TOL = 0.3
 
@@ -284,10 +283,7 @@ def equicontinuity_modulus(
     """
     if not 0 < eps < math.inf:  # also rejects eps = nan
         raise ValueError("eps must be positive and finite")
-    if n_max < 0:
-        raise ValueError("window size must be >= 0")
-    if 4 * n_max > family.horizon:  # no window may reach past the family
-        raise BudgetError(f"time {4 * n_max} exceeds horizon {family.horizon}")
+    check_window(family, 4 * n_max, 4 * n_max)  # no window may reach past the family
     space = family.space
     grid_pts = uniform_grid(space, pair_grid)
     candidates = [eps / 2 ** i for i in range(21)]
@@ -329,10 +325,6 @@ def equicontinuity_modulus(
 
 def proximal_liminf(family: MapFamily, x, y, n_max: int) -> ProximalExtremes:
     """Min/max pair distance with witnessing times over |n| <= n_max."""
-    if n_max < 0:
-        raise ValueError("window size must be >= 0")
-    if n_max > family.horizon:  # the scan would reach the horizon and abort
-        raise BudgetError(f"time {n_max} exceeds horizon {family.horizon}")
     _require_number(x, y)
     cache = FlowCache(family)
     row = distances(family.space, cache.window(x, n_max), cache.window(y, n_max))
@@ -357,8 +349,6 @@ def li_yorke_classify(
     high_tol: float = LI_YORKE_HIGH_TOL,
 ) -> PropertyReport:
     """Evidence that (x, y) gets both low_tol-close and high_tol-separated."""
-    if n_max < 0:
-        raise ValueError("window size must be >= 0")
     if not low_tol < high_tol:  # also rejects a nan tolerance
         raise ValueError("low_tol must be below high_tol")
     ext = proximal_liminf(family, x, y, n_max)
@@ -438,8 +428,7 @@ def sensitivity_at_point(
     witnesses = []
     for radius in radii:
         pts = _ball_samples(space, x, radius, samples)
-        if n_max > family.horizon:  # the full read's budget: a short hit must not hide it
-            raise BudgetError(f"time {-n_max} exceeds horizon {family.horizon}")
+        check_window(family, n_max)  # the full read's budget: a short hit must not hide it
         short = min(n_max, 16)
         hit = _first_expansion(space, pts, [cache.window(p, short) for p in pts],
                                short, delta)
@@ -465,8 +454,6 @@ def _center_distances(family: MapFamily, x, eps, n_max: int):
 
     The distances come lazily, as (center, distance) pairs in center order.
     """
-    if n_max < 0:
-        raise ValueError("window size must be >= 0")
     _require_number(x)
     space = family.space
     window = FlowCache(family).window(x, n_max)
@@ -536,12 +523,11 @@ def transitivity_scan(
             p = (u + off) % 1.0 if space is Space.CIRCLE else min(1.0, max(0.0, u + off))
             if metric(space, p, u) < eps and all(q != p for q in pts):
                 pts.append(p)
-        # every value the sampled ball reaches at some time |k| <= N, sorted
-        ball = [z for p in pts for z in cache.window(p, n_max)]
-        ball.sort()
-        v = next((v for v in centers if nearest_distance(space, ball, v) >= eps), None)
-        if v is not None:
-            unmet = (u, v)
+        # every value the sampled ball reaches at some time |k| <= N
+        missed = _hull_meets_all(space, [z for p in pts for z in cache.window(p, n_max)],
+                                 centers, eps)
+        if missed is not None:
+            unmet = (u, missed[0])
             break
     sub_b = unmet is None
 
@@ -583,7 +569,7 @@ def r_transitivity_check(
 
 
 def _hull_meets_all(space, points, centers, eps):
-    """First (center, min distance) the hull misses, or None if all are met."""
+    """First (center, min distance) the points miss by eps, or None if all are met."""
     index = sorted(points)
     for c in centers:
         dmin = nearest_distance(space, index, c)
@@ -642,6 +628,7 @@ def minimality_certificate(
     if family.exact is not None and family.space is Space.CIRCLE:
         m = net_size(eps)
         check_grid_size(grid)
+        check_window(family, order_cap)  # the float path's first hull reads this window
         for k in range(1, order_cap + 1):
             hull = exact_hull_displacements(family.exact, k, depth)
             miss = _exact_cover_miss(hull, grid, m, eps)

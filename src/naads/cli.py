@@ -24,8 +24,10 @@ Scenario files are JSON objects::
 
 ``family`` is a corpus name or an inline spec such as
 {"kind": "rotations", "angles": ["1/2", "-1/4"]} (angles cycle) or
-{"kind": "powers", "exponents": ["2", "1/2"]}.  Rational parameters are
-accepted as "p/q" strings so exact tasks never pass through floats.
+{"kind": "powers", "exponents": ["2", "1/2"]}.  A parameter value, JSON or
+command-line text, is converted once, by the checker parameter it feeds:
+text spells an int, a float or a "p/q" rational, which exact tasks keep
+exact; only ``radii`` takes a list, a JSON one or comma-separated text.
 
 Each task is the checker of that name.  Its parameter names, required
 parameters and defaults are read from the checker's signature; the one
@@ -51,9 +53,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import checkers
-from .corpus import CORPUS_NAMES, corpus
+from .corpus import CORPUS_NAMES, corpus, rotation_family
 from .errors import BudgetError, NaadsError, SchemaError
-from .exact import RationalRotationFamily
 from .flow import FlowCache, MapFamily
 from .maps import PowerMap
 from .report import PropertyReport, Verdict
@@ -80,39 +81,27 @@ Options are spelled in full; --param and --expect may stand anywhere after check
 _OPERANDS = {"run": ("SCENARIO",), "corpus": ("list",), "check": ("FAMILY", "TASK")}
 
 
-def _parse_value(text):
-    if isinstance(text, (int, float, bool)):
-        return text
-    if isinstance(text, list):  # a JSON list, element by element
-        return [_parse_value(e) for e in text]
-    s = str(text).strip()
-    if s.lower() in ("true", "false"):
-        return s.lower() == "true"
-    if "/" in s:
+def _number(v):
+    """Text as the int, float or p/q Fraction it spells, else stripped; a JSON value as is."""
+    if not isinstance(v, str):
+        return v
+    s = v.strip()
+    for parse in (int, float, Fraction):
         try:
-            return Fraction(s)
+            return parse(s)
         except ValueError:
             pass
         except ZeroDivisionError:
             raise SchemaError(f"zero denominator in {s!r}") from None
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    if "," in s:
-        return [_parse_value(part) for part in s.split(",")]
     return s
 
 
 def _pt(v) -> float:
+    v = _number(v)
     if isinstance(v, bool):  # no checker parameter is boolean
         raise SchemaError(f"expected a number, got {v!r}")
     try:
-        x = float(Fraction(v)) if isinstance(v, str) else float(v)
+        x = float(v)
     except (TypeError, ValueError, ArithmeticError):
         raise SchemaError(f"expected a number, got {v!r}") from None
     if x != x:
@@ -121,6 +110,7 @@ def _pt(v) -> float:
 
 
 def _int(v) -> int:
+    v = _number(v)
     try:
         if not isinstance(v, bool) and int(v) == Fraction(v):
             return int(v)
@@ -131,6 +121,7 @@ def _int(v) -> int:
 
 def _rat(v):
     """Keep exact rationals exact; floats pass through."""
+    v = _number(v)
     if isinstance(v, float):
         return v
     if isinstance(v, bool):
@@ -142,9 +133,10 @@ def _rat(v):
 
 
 def _radii(v):
-    if isinstance(v, (list, tuple)):
-        return tuple(_pt(e) for e in v)
-    return (_pt(v),)
+    """A JSON list, or comma-separated text, of radii; or one radius."""
+    if isinstance(v, str):
+        v = v.split(",")
+    return tuple(map(_pt, v)) if isinstance(v, (list, tuple)) else (_pt(v),)
 
 
 def _g(params, key):
@@ -227,14 +219,7 @@ def _inline_family(spec: dict) -> MapFamily:
         steps = [(Fraction(a) % 1).as_integer_ratio() for a in spec.get("angles", [])]
         if not steps:
             raise SchemaError("inline rotations need a non-empty 'angles' list")
-        return MapFamily(
-            space=Space.CIRCLE,
-            rule=None,
-            name=name,
-            declared_commutative=True,
-            declared_isometric=True,
-            exact=RationalRotationFamily(lambda n: steps[(n - 1) % len(steps)], name),
-        )
+        return rotation_family(name, lambda n: steps[(n - 1) % len(steps)])
     if kind == "powers":
         exps = [Fraction(e) for e in spec.get("exponents", [])]
         if not exps:
@@ -276,28 +261,19 @@ def _write_outputs(outputs, rendered, family, task, params, result):
         if kind == "orbit_csv":
             x, n = _pt(_g(params, "x")), _int(_g(params, "N"))
             window = FlowCache(family).window(x, n)
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["n", "x"])
-                for t, y in zip(range(-n, n + 1), window):
-                    writer.writerow([t, repr(y)])
-            continue
-        if kind == "return_raster":
+            header, rows = ["n", "x"], zip(range(-n, n + 1), map(repr, window))
+        elif kind == "return_raster":
             rts = _task_result("return_time_set", task, result, family, params)
             returns = set(rts.times)
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["n", "is_return"])
-                for t in range(-rts.window_n, rts.window_n + 1):
-                    writer.writerow([t, 1 if t in returns else 0])
-            continue
-        # modulus_curve
-        rep = _task_result("equicontinuity_modulus", task, result, family, params)
-        with open(path, "w", newline="") as fh:
+            header = ["n", "is_return"]
+            rows = ((t, int(t in returns)) for t in range(-rts.window_n, rts.window_n + 1))
+        else:  # modulus_curve
+            rep = _task_result("equicontinuity_modulus", task, result, family, params)
+            header, rows = ["N", "delta"], ((w, repr(d)) for w, d in rep.details["trend"])
+        with open(path, "w", newline="") as fh:  # opened last: an error leaves no file
             writer = csv.writer(fh)
-            writer.writerow(["N", "delta"])
-            for w, delta in rep.details["trend"]:
-                writer.writerow([w, repr(delta)])
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def _exit_code(result, expected: Verdict | None) -> int:
@@ -347,7 +323,6 @@ def _run_scenario_dict(scenario: dict, timestamp: bool) -> int:
     params = scenario.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("'params' must be an object")
-    params = {k: _parse_value(v) for k, v in params.items()}
     outputs = scenario.get("outputs", [])
     if not isinstance(outputs, list):
         raise SchemaError("'outputs' must be a list")

@@ -47,7 +47,8 @@ class CorpusEntry:
         return self.family.exact
 
 
-def _rotation_family(name: str, step) -> MapFamily:
+def rotation_family(name: str, step) -> MapFamily:
+    """The circle family rotating by ``step(n)``, a coprime int pair (a, b), at index n."""
     return MapFamily(
         space=Space.CIRCLE,
         rule=None,
@@ -143,7 +144,7 @@ def _settling_step(n: int) -> tuple[int, int]:
 
 
 def _settling() -> CorpusEntry:
-    fam = _rotation_family("circle_settling", _settling_step)
+    fam = rotation_family("circle_settling", _settling_step)
     return CorpusEntry(
         name="circle_settling",
         description="rotation amounts converging so every point settles opposite "
@@ -166,7 +167,7 @@ def _ex4_step(n: int) -> tuple[int, int]:
 
 
 def _ex4() -> CorpusEntry:
-    fam = _rotation_family("circle_ex4", _ex4_step)
+    fam = rotation_family("circle_ex4", _ex4_step)
     return CorpusEntry(
         name="circle_ex4",
         description="four-step rotation blocks (+a,-a,-a,+a) with shrinking a; "
@@ -200,7 +201,7 @@ def _harmonic() -> CorpusEntry:
         a, b = fracs[k]
         return (a, b) if n % 2 == 1 or not a else (b - a, b)
 
-    fam = _rotation_family("circle_harmonic", step)
+    fam = rotation_family("circle_harmonic", step)
     return CorpusEntry(
         name="circle_harmonic",
         description="odd steps rotate by the k-th harmonic sum of turns, even "

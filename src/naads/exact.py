@@ -225,8 +225,11 @@ def exact_hull_displacements(
     D = math.lcm(*(g.denominator for g in gens))
     generators = sorted(g.numerator * (D // g.denominator) for g in gens)
     check_budget = D.bit_length() > DENOMINATOR_BIT_BUDGET
+
+    def hull(sums, exhausted=False, stabilized=False):
+        return HullDisplacements(tuple(sorted(sums)), D, exhausted, stabilized)
+
     current, frontier = {0}, {0}
-    exhausted = stabilized = False
     for _ in range(depth):
         new = set()
         for a in sorted(frontier):
@@ -238,23 +241,11 @@ def exact_hull_displacements(
                     _check_denominator(D // math.gcd(s, D))
                 if s not in current and s not in new:
                     if len(current) + len(new) >= cap:
-                        exhausted = True
-                        break
+                        return hull(current | new, exhausted=True)
                     new.add(s)
-            if exhausted:
-                break
-        if exhausted:
-            current |= new
-            break
         if not new:
-            stabilized = True
-            break
+            return hull(current, stabilized=True)
         current |= new
         frontier = new
-    return HullDisplacements(
-        numerators=tuple(sorted(current)),
-        denominator=D,
-        budget_exhausted=exhausted,
-        stabilized=stabilized,
-    )
+    return hull(current)
 

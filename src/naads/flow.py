@@ -43,8 +43,8 @@ class MapFamily:
     * ``declared_commutative``: f_n has a ``kind`` (maps of one kind commute)
       and it is f_1's;
     * ``declared_isometric``: f_n is ``isometric``;
-    * ``declared_period`` (a p >= 1, or None): for n > p, f_n is f_{n-p}, or
-      has the same type and equal attributes.
+    * ``declared_period`` (a p >= 1, or None): for n > p, f_n equals f_{n-p}
+      (maps compare by type and attributes).
 
     ``exact`` optionally carries the exact rational view of a rotation family.
     With ``rule=None`` the family is that view: f_n rotates by the n-th step
@@ -111,8 +111,7 @@ class MapFamily:
             if self.declared_isometric and not h.isometric:
                 raise ConstructionError(
                     f"{self.name!r} is declared isometric, but f_{k} is not")
-            if p and k > p and not (h is (g := maps[k - p - 1]) or (
-                    type(h) is type(g) and vars(h) == vars(g))):
+            if p and k > p and h != maps[k - p - 1]:
                 raise ConstructionError(
                     f"{self.name!r} declares period {p}, but f_{k} differs "
                     f"from f_{k - p}")
@@ -143,10 +142,23 @@ class MapFamily:
         return f"MapFamily({self.name!r}, space={self.space.value})"
 
 
+def check_window(family: MapFamily, n_max: int, time: int | None = None) -> None:
+    """The flow's one budget gate, for a read that reaches n_max steps each way.
+
+    A negative n_max raises ValueError first; an n_max past the family's
+    horizon then raises BudgetError, naming ``time`` (by default -n_max, the
+    first time of a window).  A signed time n is the read of reach |n|.
+    """
+    if n_max < 0:
+        raise ValueError("window size must be >= 0")
+    if n_max > family.horizon:
+        raise BudgetError(f"time {-n_max if time is None else time} exceeds horizon "
+                          f"{family.horizon}")
+
+
 def omega(family: MapFamily, n: int, x):
     """State of the flow at signed time n started from x."""
-    if abs(n) > family.horizon:
-        raise BudgetError(f"time {n} exceeds horizon {family.horizon}")
+    check_window(family, abs(n), n)
     if n == 0:
         return x
     maps = family._maps_through(abs(n))
@@ -240,8 +252,7 @@ class FlowCache:
 
     def omega(self, n: int, x):
         fam = self.family
-        if abs(n) > fam.horizon:
-            raise BudgetError(f"time {n} exceeds horizon {fam.horizon}")
+        check_window(fam, abs(n), n)
         if n == 0:
             return x
         if n > 0:
@@ -256,10 +267,7 @@ class FlowCache:
     def window(self, x, n_max: int) -> list:
         """Flow values at times -n_max..n_max, index i holding time i - n_max."""
         fam = self.family
-        if n_max < 0:
-            raise ValueError("window size must be >= 0")
-        if n_max > fam.horizon:
-            raise BudgetError(f"time {-n_max} exceeds horizon {fam.horizon}")
+        check_window(fam, n_max)
         forward = self._traj(x, "+", n_max)[:n_max + 1]
         if fam.declared_commutative:
             return self._traj(x, "-", n_max)[n_max:0:-1] + forward
@@ -349,8 +357,6 @@ def hull_sample(
     index = [x]  # the kept points, sorted
     kept = {x}  # and hashed: equal values (0.5, Fraction(1, 2)) are at distance 0
     frontier = [x]
-    exhausted = False
-    stabilized = False
     for _ in range(depth):
         new = []
         for y in frontier:
@@ -361,14 +367,8 @@ def hull_sample(
                     insort(index, z)
                     new.append(z)
                     if len(points) >= cap:
-                        exhausted = True
-                        break
-            if exhausted:
-                break
-        if exhausted:
-            break
+                        return HullSample(points=points, budget_exhausted=True)
         if not new:
-            stabilized = True
-            break
+            return HullSample(points=points, stabilized=True)
         frontier = new
-    return HullSample(points=points, budget_exhausted=exhausted, stabilized=stabilized)
+    return HullSample(points=points)

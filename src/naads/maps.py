@@ -31,11 +31,18 @@ class Homeomorphism:
 
     ``kind`` names a class of maps that commute with each other ("rotation",
     "power"), or is None; ``isometric`` says that the map preserves distances.
-    MapFamily checks its declarations against these two facts.
+    MapFamily checks its declarations against these two facts.  Two maps are
+    equal when they have one type and equal attributes, so a rule may build a
+    fresh map for each index; the hash stays the identity's.
     """
 
     kind = None
     isometric = False
+
+    def __eq__(self, other):
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    __hash__ = object.__hash__
 
     def forward(self, x):
         raise NotImplementedError

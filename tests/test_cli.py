@@ -9,6 +9,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -798,7 +799,7 @@ class TestHostileParameters:
         for item in params:
             argv += ["--param", item]
         assert main(argv) == EXIT_USAGE
-        assert re.fullmatch(r"error: expected an? (number|integer), got (True|False)\n",
+        assert re.fullmatch(r"error: expected an? (number|integer), got '(true|false)'\n",
                             capsys.readouterr().err)
 
     def test_boolean_scenario_value_is_not_a_number(self, tmp_path, capsys):
@@ -806,6 +807,34 @@ class TestHostileParameters:
                                     "params": {"x": 0.3, "r": True}})
         assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: expected an integer, got True\n"
+
+    # a negative window is bad input at any size: the flow's budget gate tests
+    # the sign before the horizon (hull_closure_equality reads no window of N)
+    @pytest.mark.parametrize("n", [-1, -10 ** 30], ids=["-1", "-10**30"])
+    @pytest.mark.parametrize("task", sorted(
+        name for name, task in TASKS.items()
+        if "N" in task.params and name != "hull_closure_equality"))
+    def test_negative_window_is_bad_input_at_any_size(self, capsys, task, n):
+        small = {"x": "0.3", "y": "0.7", "eps": "0.125", "r": "2", "N": str(n)}
+        argv = ["--no-timestamp", "check", "circle_harmonic", task]
+        for key in TASKS[task].params:
+            if key in small:
+                argv += ["--param", f"{key}={small[key]}"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err in ("error: window size must be >= 0\n",
+                                           "error: need eps > 0 and window >= 1\n")
+
+    # an order past the horizon is a budget error at once on the exact path,
+    # with the float path's message; the exact path used to run past 30 s
+    @pytest.mark.parametrize("family", ["circle_harmonic", "circle_ex4", "identity"])
+    def test_minimality_order_past_the_horizon(self, capsys, family):
+        argv = ["check", family, "minimality_certificate",
+                "--param", "eps=1/65536", "--param", "order_cap=1000000"]
+        start = time.perf_counter()
+        assert main(argv) == EXIT_INCONCLUSIVE
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == \
+            "error: budget exceeded: time -1000000 exceeds horizon 100000\n"
 
     # N = 0 and horizon = 0 stay valid: time 0 alone is scanned
     @pytest.mark.parametrize("task, params", [

@@ -29,6 +29,7 @@ from naads import (
     hull_sample,
     metric,
     omega,
+    r_transitivity_check,
 )
 
 
@@ -399,6 +400,23 @@ class TestDeclarations:
         fam.map_at(2)
         with pytest.raises(ConstructionError, match="f_3 differs from f_2"):
             omega(fam, 4, 0.3)
+
+    # a rule may build a fresh map for each index: block maps are composites
+    # of such maps, so the period check must compare their parts by value
+    @pytest.mark.parametrize("commutative", [True, False])
+    @pytest.mark.parametrize("space, rule", [
+        (Space.CIRCLE, lambda n: CircleRotation(Fraction(1, 3) if n % 2 else Fraction(1, 5))),
+        (Space.UNIT_INTERVAL, lambda n: PowerMap(2 if n % 2 else Fraction(1, 2))),
+    ], ids=["rotations", "powers"])
+    def test_fresh_maps_keep_the_period_in_blocks(self, space, rule, commutative):
+        fam = MapFamily(space, rule, "fresh", declared_commutative=commutative,
+                        declared_period=2)
+        r_transitivity_check(fam, 3, eps=0.25, n_max=10, grid=4)
+        blocks = block_family(fam, 3)
+        blocks.map_at(20)
+        cache = FlowCache(blocks)
+        for x in (0.3, Fraction(1, 2)):
+            _assert_window_literal(blocks, cache, x, 11)
 
     def test_mixed_kinds_declared_commutative(self):
         fam = MapFamily(
