@@ -20,11 +20,12 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 from .errors import DomainError, PreconditionError
 from .exact import exact_hull_displacements, exact_periodicity
-from .flow import FlowCache, MapFamily, block_family, check_window, hull_sample
+from .flow import (
+    FlowCache, MapFamily, block_family, check_window, hull_sample, rotation_drift)
 from .report import ProximalExtremes, PropertyReport, ReturnTimeSet, Verdict, Witness
 from .space import (
     Space,
@@ -88,6 +89,24 @@ def _scan_times(n_max: int):
     for n in range(1, n_max + 1):
         yield n
         yield -n
+
+
+def _isometry_slack(family: MapFamily, n_max: int, points):
+    """How far a float distance between two window rows can stray over |n| <= n_max.
+
+    A rotation keeps every exact distance, and each window entry lies within
+    flow.rotation_drift of its exact value; so a float distance at time n is
+    within twice the drift, plus the rounding of the metric and of the caller's
+    comparison, of its value at time 0 (or of another point's row, for return
+    distances).  The sum is doubled rather than argued to the ulp.  None
+    unless the family runs the inline rotation loop on the circle and every
+    point is a float in [0, 1), where that bound holds.
+    """
+    if family.space is not Space.CIRCLE or not all(
+            type(p) is float and 0.0 <= p < 1.0 for p in points):
+        return None
+    drift = rotation_drift(family, n_max)
+    return None if drift is None else 2 * (2 * drift + 2 ** -50)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +225,16 @@ def uniform_ap_report(
 
     Each grid point, in order, gets one return-time scan of the window 2N,
     which gives its bounds at N and 2N; the first bound that grows ends the scan.
+    On a rotation the return distance at time n is ||disp(n)|| from every
+    point, so when no entry of the first point's row lies within the drift
+    slack of eps (_isometry_slack), every grid point has its return times and
+    that one window decides the report.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     worst_m = 0
-    for g in uniform_grid(family.space, grid_size):
+    grid = uniform_grid(family.space, grid_size)
+    for g in grid:
         times = return_time_set(family, g, eps, 2 * n_max).times
         g1, g2 = max(_gaps(times, n_max)), max(_gaps(times, 2 * n_max))
         if g2 > g1:
@@ -218,6 +242,10 @@ def uniform_ap_report(
             return PropertyReport("uniform_almost_periodicity", Verdict.EVIDENCE_AGAINST,
                                   details={"worst_point": g, "gap_trend": trend})
         worst_m = max(worst_m, g2)
+        if g is grid[0] and (slack := _isometry_slack(family, 2 * n_max, grid)) is not None:
+            row = distances(family.space, FlowCache(family).window(g, 2 * n_max), repeat(g))
+            if all(abs(d - eps) > slack for d in row):
+                break
     return PropertyReport("uniform_almost_periodicity", Verdict.EVIDENCE_FOR,
                           details={"M": worst_m})
 
@@ -279,7 +307,9 @@ def equicontinuity_modulus(
     Candidates are eps, eps/2, ..., eps/2^20; pairs sit at distance
     0.75*delta around a uniform grid.  The modulus is recomputed at windows
     N, 2N, 4N: a strictly shrinking trend (or no passing candidate) is
-    evidence against equicontinuity.
+    evidence against equicontinuity.  On a rotation, when every pair of the
+    first candidate is closer than eps by the drift slack (_isometry_slack),
+    that candidate passes at every window with no window read.
     """
     if not 0 < eps < math.inf:  # also rejects eps = nan
         raise ValueError("eps must be positive and finite")
@@ -294,6 +324,12 @@ def equicontinuity_modulus(
     # (a, b) -> (window scanned, first far time or None); windows only grow
     # and scan orders are prefixes of each other, so each time is read once
     scanned = {}
+    # the turns are read only where the first candidate's pairs are eps-close at time 0
+    pairs = _nearby_pairs(space, grid_pts, candidates[0])
+    d0 = max((metric(space, a, b) for a, b in pairs), default=eps)
+    slack = _isometry_slack(family, windows[-1], chain(*pairs)) if d0 < eps else None
+    if slack is not None and d0 < eps - slack:
+        scanned = dict.fromkeys(pairs, (windows[-1], None))
     for w in windows:
         found = 0.0
         for delta in candidates:
@@ -414,7 +450,9 @@ def sensitivity_at_point(
 
     Radii go in order, and the first ball that does not expand ends the scan.
     A ball's sample windows are read at min(N, 16), and at N only if no pair
-    separates there, so a witness is the first separation in time order.
+    separates there, so a witness is the first separation in time order.  On
+    a rotation a ball whose samples lie within delta by the drift slack
+    (_isometry_slack) at time 0 never expands, and its windows are not read.
     """
     if samples < 2 or any(not 0 < r < math.inf for r in radii):  # also rejects r = nan
         raise ValueError("need samples >= 2 and positive finite radii")
@@ -426,15 +464,20 @@ def sensitivity_at_point(
     _require_number(x)
     cache = FlowCache(family)
     witnesses = []
+    short = min(n_max, 16)
     for radius in radii:
         pts = _ball_samples(space, x, radius, samples)
         check_window(family, n_max)  # the full read's budget: a short hit must not hide it
-        short = min(n_max, 16)
-        hit = _first_expansion(space, pts, [cache.window(p, short) for p in pts],
-                               short, delta)
-        if hit is None and n_max > short:
-            hit = _first_expansion(space, pts, [cache.window(p, n_max) for p in pts],
-                                   n_max, delta, short)
+        # a ball split at time 0 keeps its scan, which reads no turn past min(N, 16)
+        slack = None if spread_exceeds(space, pts, delta) else _isometry_slack(
+            family, n_max, pts)
+        hit = None
+        if slack is None or spread_exceeds(space, pts, delta - slack):
+            hit = _first_expansion(space, pts, [cache.window(p, short) for p in pts],
+                                   short, delta)
+            if hit is None and n_max > short:
+                hit = _first_expansion(space, pts, [cache.window(p, n_max) for p in pts],
+                                       n_max, delta, short)
         if hit is None:
             return PropertyReport("sensitivity_at_point", Verdict.EVIDENCE_AGAINST,
                                   {"delta": delta}, details={"unexpanded_radius": radius})
@@ -820,6 +863,8 @@ def hull_closure_equality(
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if n_max < 0:
+        raise ValueError("window size must be >= 0")
     if not family.declared_isometric:
         eq = equicontinuity_modulus(family, eps, n_max=25, pair_grid=9)
         if eq.verdict is not Verdict.EVIDENCE_FOR:

@@ -199,6 +199,23 @@ def _extend(family: MapFamily, traj: list, n: int, inverse: bool) -> None:
         traj += out[w - 1::w]
 
 
+def rotation_drift(family: MapFamily, n_max: int) -> float | None:
+    """How far a window entry at |n| <= n_max lies from its exact rotation.
+
+    From a float start in [0, 1), each turn of _extend's inline loop rounds
+    the turn a / b once (at most 2**-54) and its sum at most twice (at most
+    2**-53 each), so entry n lies within |n| * _width * 2**-51 of
+    x + disp(n) in circle distance.  None for a family whose windows do not
+    run that loop (a rule's maps).  The bound reads the turns through n_max
+    after check_window, so the horizon, denominator-budget and declared-period
+    errors fire as a full read of the window fires them.
+    """
+    check_window(family, n_max)
+    if family._turns_through(n_max) is None:
+        return None
+    return n_max * family._width * 2 ** -51
+
+
 class FlowCache:
     """Memoized flow evaluation; cached values equal fresh omega() bit-for-bit.
 
