@@ -127,7 +127,7 @@ class RationalRotationFamily:
         return 1 - d if n < 0 and d else d
 
     def block(self, r: int) -> "RationalRotationFamily":
-        """Exact view of the r-step block family."""
+        """Exact view, and source of the float turns, of the r-step block family."""
         if r < 1:
             raise ValueError("block size must be >= 1")
         if r == 1:

@@ -12,9 +12,10 @@ family, and one routine of it finds, starts and extends every stored
 trajectory, reproducing these operation orders exactly:
 ascending for commutative families, blocks of one period for families with a
 declared period; other families' backward values come from omega itself.
-A rotation family with no rule, and a block family of one, moves float points
-by one inline loop over the float turns of its exact steps and builds no map
-until one is asked for; a family with a rule applies each map's forward/inverse.
+A rotation family with no rule moves float points by one inline loop over the
+float turns of its exact steps and builds no map until one is asked for; its
+block families are such families too, on their exact block steps.  A family
+with a rule, and its block families, apply each map's forward/inverse.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class MapFamily:
     ``exact`` optionally carries the exact rational view of a rotation family.
     With ``rule=None`` the family is that view: f_n rotates by the n-th step
     pair (a, b), and a map is built only when asked for.  Flows run only these
-    turns a / b inline; a rule's maps, CircleRotation too, go through forward/inverse.
+    turns a / b inline, one per map; a rule's maps, CircleRotation too, go
+    through forward/inverse.
     The family also holds the trajectory store that its FlowCache views share.
     """
 
@@ -83,13 +85,10 @@ class MapFamily:
         self.exact = exact
         self.declared_period = declared_period
         self._maps: list[Homeomorphism] = []  # _maps[n - 1] = f_n
-        # the turns of f_1, f_2, ..., _width per map, and in _back the inverse
-        # steps: negated, each map's last to first.  Read off the exact steps with
-        # no rule; block_family shares its base's; None (per-map path) otherwise
+        # the float turns of f_1, f_2, ..., read off the exact steps with no rule,
+        # and in _back the same turns negated; None (per-map path) with a rule
         self._turns: list[float] | None = None if rule else []
         self._back: list[float] = []
-        self._width = 1
-        self._blocks: tuple[MapFamily, int] | None = None  # (base, r) of a block family
         self._traj: dict = {}  # FlowCache's store: plain data, never a FlowCache
 
     def map_at(self, n: int) -> Homeomorphism:
@@ -119,15 +118,9 @@ class MapFamily:
         return maps
 
     def _turns_through(self, n: int) -> list[float] | None:
-        """The flat turns, read through f_n, or None for the per-map path."""
-        turns, back, w = self._turns, self._back, self._width
-        if turns is None or n * w <= len(back):
-            return turns
-        if self._blocks:  # the base's turns, each run reversed and negated into _back
-            base, r = self._blocks
-            base._turns_through(n * r)
-            back += [-a for i in range(len(back), n * w, w)
-                     for a in reversed(turns[i:i + w])]
+        """The float turns, read through f_n, or None for the per-map path."""
+        turns = self._turns
+        if turns is None or n <= len(turns):
             return turns
         pairs, p = self.exact.pairs(n), self.declared_period
         for k in range(max(len(turns), p or n), n):  # pairs[k] is the step of f_{k+1}
@@ -135,7 +128,7 @@ class MapFamily:
                 raise ConstructionError(f"{self.name!r} declares period {p}, but "
                                         f"f_{k + 1} differs from f_{k + 1 - p}")
         turns += (new := [a / b for a, b in pairs[len(turns):n]])
-        back += [-a for a in new]
+        self._back += [-a for a in new]
         return turns
 
     def __repr__(self):
@@ -175,8 +168,8 @@ def omega(family: MapFamily, n: int, x):
 def _extend(family: MapFamily, traj: list, n: int, inverse: bool) -> None:
     """Extend ``traj`` through entry n, entry k being f_k (or f_k^{-1}) of entry k - 1.
 
-    A float circle point moves along the family's turns, or for an inverse
-    its _back steps, with CircleRotation's float operations in its order:
+    A float circle point moves along the family's turns, one per map, or for an
+    inverse its _back turns, with CircleRotation's float operations in its order:
     wrap_circle(y + a), where y - a is y + (-a) in IEEE arithmetic.  Once y is
     in [0, 1), the range check of the first step holds at every later one.
     """
@@ -187,16 +180,12 @@ def _extend(family: MapFamily, traj: list, n: int, inverse: bool) -> None:
             y = h.inverse(y) if inverse else h.forward(y)
             traj.append(y)
         return
-    w = family._width
-    out = traj if w == 1 else []  # one value per turn; traj takes each w-th
-    append = out.append
-    for a in (family._back if inverse else family._turns)[(lo - 1) * w:n * w]:
+    append = traj.append
+    for a in (family._back if inverse else family._turns)[lo - 1:n]:
         y = (y + a) % 1.0
         if y >= 1.0:
             y -= 1.0
         append(y)
-    if w > 1:
-        traj += out[w - 1::w]
 
 
 def rotation_drift(family: MapFamily, n_max: int) -> float | None:
@@ -204,16 +193,16 @@ def rotation_drift(family: MapFamily, n_max: int) -> float | None:
 
     From a float start in [0, 1), each turn of _extend's inline loop rounds
     the turn a / b once (at most 2**-54) and its sum at most twice (at most
-    2**-53 each), so entry n lies within |n| * _width * 2**-51 of
-    x + disp(n) in circle distance.  None for a family whose windows do not
-    run that loop (a rule's maps).  The bound reads the turns through n_max
-    after check_window, so the horizon, denominator-budget and declared-period
-    errors fire as a full read of the window fires them.
+    2**-53 each), so entry n lies within |n| * 2**-51 of x + disp(n) in
+    circle distance; a block family turns once per block.  None for a family
+    whose windows do not run that loop (a rule's maps).  The bound reads the
+    turns through n_max after check_window, so the horizon, denominator-budget
+    and declared-period errors fire as a full read of the window fires them.
     """
     check_window(family, n_max)
     if family._turns_through(n_max) is None:
         return None
-    return n_max * family._width * 2 ** -51
+    return n_max * 2 ** -51
 
 
 class FlowCache:
@@ -302,8 +291,9 @@ def block_family(family: MapFamily, r: int) -> MapFamily:
 
     Block k applies f_{(k-1)r+1} first and f_{kr} last, so the block flow at
     time k equals the original flow at time k*r.  A declared period p becomes
-    p // gcd(p, r).  r = 1 returns the family unchanged.  Its turns are the
-    family's, r a run: one net turn per block would not round as r adds do.
+    p // gcd(p, r).  r = 1 returns the family unchanged.  A family with no rule
+    gets a rotation family on its exact block steps (``exact.block(r)``), one
+    float turn per block; a family with a rule gets the composites.
     """
     if r < 1:
         raise ValueError("block size must be >= 1")
@@ -313,9 +303,9 @@ def block_family(family: MapFamily, r: int) -> MapFamily:
     def rule(k: int) -> Homeomorphism:
         return Composite([family.map_at((k - 1) * r + j) for j in range(1, r + 1)])
 
-    blocks = MapFamily(
+    return MapFamily(
         space=family.space,
-        rule=rule,
+        rule=rule if family.rule else None,
         name=f"{family.name}|blocks[r={r}]",
         declared_commutative=family.declared_commutative,
         declared_isometric=family.declared_isometric,
@@ -323,9 +313,6 @@ def block_family(family: MapFamily, r: int) -> MapFamily:
         exact=family.exact.block(r) if family.exact is not None else None,
         declared_period=p // gcd(p, r) if (p := family.declared_period) else None,
     )
-    blocks._blocks = family, r
-    blocks._turns, blocks._width = family._turns, family._width * r
-    return blocks
 
 
 @dataclass

@@ -110,7 +110,8 @@ class TestDriftBound:
     def test_one_bound_per_turn(self):
         fam = _inline([(1, 3), (2, 5)])
         assert rotation_drift(fam, 10) == 10 * 2 ** -51
-        assert rotation_drift(block_family(fam, 3), 10) == 30 * 2 ** -51
+        # a block family turns once per block, by its exact block step
+        assert rotation_drift(block_family(fam, 3), 10) == 10 * 2 ** -51
         ref = _as_rule(fam)
         assert rotation_drift(ref, 10) is None
         assert rotation_drift(block_family(ref, 2), 10) is None

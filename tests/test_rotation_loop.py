@@ -1,6 +1,6 @@
 """The inline rotation loop of FlowCache against the per-map loop it replaces.
 
-A family with no rule (exact rotation steps), and a block family of one,
+A family with no rule (exact rotation steps), and so a block family of one,
 extends float trajectories along the float turns of its steps without calling
 forward/inverse; a family with a rule takes the per-map path.  Every value must
 equal, bit for bit, what one forward/inverse call per map gives, and every
@@ -120,7 +120,7 @@ class TestInlineRotationLoop:
     @example(angles=[Fraction(1, 2**80)], r=1, x=0.0, accesses=[("omega", -3)])
     @example(angles=[0.0, 0.1], r=2, x=-1e-20, accesses=[("omega", 1)])
     @example(angles=[Fraction(1, 2**80), 0.0], r=2, x=0.0, accesses=[("window", 3)])
-    # block inverses subtract the turns of a block last to first
+    # a block inverse subtracts the block's one turn
     @example(angles=[0.1, 0.7], r=2, x=0.3, accesses=[("omega", -5)])
     def test_matches_per_map_loop(self, angles, r, x, accesses):
         inline = block_family(_exact_rotations(angles), r)
@@ -136,7 +136,7 @@ class TestInlineRotationLoop:
     def test_corpus_blocks_are_inline(self):
         fam = block_family(corpus("circle_harmonic").family, 3)
         _check_accesses(fam, 0.3, [("window", 40), ("omega", 50), ("omega", -50)])
-        assert fam._width == 3 and fam._turns is not None
+        assert fam._turns is not None
 
 
 class TestMapList:

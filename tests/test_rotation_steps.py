@@ -4,8 +4,9 @@ A rotation family with no rule reads its steps as coprime int pairs, takes
 its float turns from them, and builds a map only when asked for one.  Each
 test here compares such a family with a reference family whose rule builds a
 CircleRotation from the same Fraction at every index and which has no exact
-view: values must agree bit for bit (``repr``), forward and backward, for
-block families too, and every error must come at the same time index.
+view: values must agree bit for bit (``repr``), forward and backward, and
+every error must come at the same time index.  A block family is a rotation
+family on its exact block steps, so its reference rotates by those steps.
 """
 
 import math
@@ -27,9 +28,11 @@ from naads import (
     RationalAngle,
     RationalRotationFamily,
     Space,
+    Verdict,
     block_family,
     corpus,
     omega,
+    r_transitivity_check,
 )
 from naads.cli import _inline_family
 from naads.corpus import ROTATION_NAMES
@@ -113,10 +116,11 @@ class TestRandomCycles:
     @given(angles=st.lists(_ANGLE, min_size=1, max_size=5), x=_POINT,
            r=st.sampled_from([2, 3, 4, 10]), accesses=_ACCESS)
     @example(angles=[Fraction(1, 10), Fraction(7, 10)], x=0.3, r=2,
-             accesses=[("omega", -5)])  # block inverses run each block last to first
+             accesses=[("omega", -5)])  # a block inverse subtracts the block's one turn
     def test_block_windows_match(self, angles, x, r, accesses):
-        fam, ref = _cycle(angles)
-        _same_accesses(block_family(fam, r), block_family(ref, r), x, accesses)
+        # the reference reads a second copy's exact block steps
+        ref = _reference(_cycle(angles)[0].exact.block(r).step)
+        _same_accesses(block_family(_cycle(angles)[0], r), ref, x, accesses)
 
 
 class TestCorpusFamilies:
@@ -130,8 +134,8 @@ class TestCorpusFamilies:
     @pytest.mark.parametrize("name", ROTATION_NAMES)
     @pytest.mark.parametrize("r", [2, 3, 4, 10])
     def test_block_windows(self, name, r):
-        fam, ref = _corpus(name)
-        _same_accesses(block_family(fam, r), block_family(ref, r), 0.3,
+        _same_accesses(block_family(corpus(name).family, r),
+                       _reference(corpus(name).exact.block(r).step), 0.3,
                        [("window", 2000 // r), ("omega", 5), ("omega", -7)])
 
     @settings(max_examples=40, deadline=None)
@@ -162,6 +166,33 @@ class TestCorpusFamilies:
         assert got == want
         assert got[0] == (BudgetError, "denominator exceeds 2048 bits")
         assert got[1][0] is float
+
+
+class TestBlockFamilies:
+    """A rotation family's block family rotates by its exact block steps."""
+
+    @pytest.mark.parametrize("r", [2, 4, 10])
+    @pytest.mark.parametrize("x", [0.0, 0.3, 1 - 2**-53])
+    def test_identity_blocks_fix_every_point(self, r, x):
+        # each even-length harmonic block is exactly the identity
+        blocks = block_family(corpus("circle_harmonic").family, r)
+        assert FlowCache(blocks).window(x, 50) == [x] * 101
+
+    def test_identity_blocks_have_no_dense_orbit(self):
+        # every orbit is its start point, farther than eps from one of 3 centers
+        rep = r_transitivity_check(corpus("circle_harmonic").family, 2, eps=1 / 3,
+                                   n_max=10, grid=8)
+        assert rep.details["identity_blocks"] is True
+        assert rep.details["dense_orbit"] is False
+        assert rep.verdict is Verdict.INCONCLUSIVE_BUDGET
+
+    @pytest.mark.parametrize("name", ROTATION_NAMES)
+    @pytest.mark.parametrize("r", [2, 3, 10])
+    def test_block_maps_are_rotations_by_the_block_steps(self, name, r):
+        blocks = block_family(corpus(name).family, r)
+        steps = corpus(name).exact.block(r)
+        for k in (1, 2, 7, 20):  # maps compare by type and attributes
+            assert blocks.map_at(k) == CircleRotation(steps.step(k))
 
 
 class TestDeclarations:
