@@ -43,6 +43,9 @@ from .space import (
 FLOW_TOL = 1e-9
 LI_YORKE_LOW_TOL = 1e-3
 LI_YORKE_HIGH_TOL = 0.3
+# Windows are read this far first, and to N only if that prefix decides nothing:
+# 16 steps decide most corpus balls cheaply.  A cost, not a parameter.
+SHORT_READ = 16
 
 
 # The public name of a checker parameter, in report records and on the command line.
@@ -449,8 +452,8 @@ def sensitivity_at_point(
     diameter.
 
     Radii go in order, and the first ball that does not expand ends the scan.
-    A ball's sample windows are read at min(N, 16), and at N only if no pair
-    separates there, so a witness is the first separation in time order.  On
+    A ball's sample windows are read at min(N, SHORT_READ), and at N only if no
+    pair separates there, so a witness is the first separation in time order.  On
     a rotation a ball whose samples lie within delta by the drift slack
     (_isometry_slack) at time 0 never expands, and its windows are not read.
     """
@@ -464,11 +467,11 @@ def sensitivity_at_point(
     _require_number(x)
     cache = FlowCache(family)
     witnesses = []
-    short = min(n_max, 16)
+    short = min(n_max, SHORT_READ)
     for radius in radii:
         pts = _ball_samples(space, x, radius, samples)
         check_window(family, n_max)  # the full read's budget: a short hit must not hide it
-        # a ball split at time 0 keeps its scan, which reads no turn past min(N, 16)
+        # a ball split at time 0 keeps its scan, which reads no turn past the short read
         slack = None if spread_exceeds(space, pts, delta) else _isometry_slack(
             family, n_max, pts)
         hit = None
@@ -543,7 +546,9 @@ def transitivity_scan(
     Each probe stops at its first decisive answer: (a) at the first dense
     window, each window at its first missed center; (b) scans pairs u-major,
     reads the five sampled windows of u's ball on reaching u, and stops at the
-    first unmet pair.
+    first unmet pair.  (b) reads a ball's windows at min(N, SHORT_READ) first,
+    and at N only if some center is unmet there: a window is a prefix of the
+    longer one, so a center met early is met at N.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -559,6 +564,7 @@ def transitivity_scan(
 
     centers = net_centers(space, eps)
     offsets = (0.0, 0.5 * eps, -0.5 * eps, 0.9 * eps, -0.9 * eps)
+    check_window(family, n_max)  # the full read's budget: a met short read must not hide it
     unmet = None
     for u in centers:
         pts = []
@@ -566,9 +572,11 @@ def transitivity_scan(
             p = (u + off) % 1.0 if space is Space.CIRCLE else min(1.0, max(0.0, u + off))
             if metric(space, p, u) < eps and all(q != p for q in pts):
                 pts.append(p)
-        # every value the sampled ball reaches at some time |k| <= N
-        missed = _hull_meets_all(space, [z for p in pts for z in cache.window(p, n_max)],
-                                 centers, eps)
+        # every value the sampled ball reaches at some time |k| <= n
+        for n in sorted({min(n_max, SHORT_READ), n_max}):
+            ball = [z for p in pts for z in cache.window(p, n)]
+            if (missed := _hull_meets_all(space, ball, centers, eps)) is None:
+                break
         if missed is not None:
             unmet = (u, missed[0])
             break

@@ -298,6 +298,24 @@ class TestScansStopEarly:
         assert rep.details["unmet_pair"][0] == 0.0
         assert len({x for _, x, _ in family._traj}) <= 21
 
+    def test_transitivity_reads_met_balls_short(self):
+        # every ball meets every center within 16 steps, so its windows stop
+        # there; only the dense grid point 0.0 is read through N (the full
+        # read of every ball would leave 42,898 entries)
+        family = corpus("circle_harmonic").family
+        rep = transitivity_scan(family, 0.05, 240)
+        assert rep.verdict is Verdict.EVIDENCE_FOR
+        long = {key: len(traj) for key, traj in family._traj.items() if len(traj) != 17}
+        assert long == {(float, 0.0, "+"): 241, (float, 0.0, "-"): 241}
+        assert sum(len(traj) for traj in family._traj.values()) == 3474
+
+    def test_transitivity_window_past_the_horizon_is_a_budget_error(self):
+        # a ball met inside the short read must not hide the budget
+        family = corpus("circle_harmonic").family
+        n = family.horizon + 1
+        with pytest.raises(BudgetError, match=f"time -{n} exceeds horizon"):
+            transitivity_scan(family, 0.05, n)
+
     def test_sensitivity_reads_short_windows_first(self):
         # example1's balls expand at times 3 and 10, inside the 16-time read
         family = corpus("example1_tent_sqrt").family

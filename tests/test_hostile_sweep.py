@@ -43,7 +43,8 @@ def test_base_values_cover_every_task_parameter():
     assert set(BASE) == {key for task in TASKS.values() for key in task.params}
 
 
-@pytest.mark.parametrize("family", ["circle_ex4", "example1_tent_sqrt"])
+@pytest.mark.parametrize("family", ["circle_ex4", "example1_tent_sqrt", "circle_harmonic",
+                                    "interval_square_sqrt"])
 @pytest.mark.parametrize("task", sorted(TASKS))
 def test_sweep(family, task):
     base = {key: BASE[key] for key in TASKS[task].params}

@@ -20,6 +20,7 @@ from naads import (
     Space,
     Verdict,
     almost_periodicity_report,
+    block_family,
     corpus,
     equicontinuity_modulus,
     hull_periodicity_property,
@@ -470,11 +471,25 @@ class TestLazyScansMatchEagerScans:
 
     @settings(max_examples=40, deadline=None)
     @given(make=lazy_family, eps=st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.6]),
-           n_max=st.integers(min_value=0, max_value=20),
+           n_max=st.integers(min_value=0, max_value=60),
            grid=st.integers(min_value=2, max_value=6))
     def test_transitivity_scan(self, make, eps, n_max, grid):
         got = transitivity_scan(make(), eps, n_max, grid)
         want = _reference_transitivity_scan(make(), eps, n_max, grid)
+        assert got.render() == want.render()
+
+    @settings(max_examples=30, deadline=None)
+    @given(make=lazy_family, r=st.integers(min_value=2, max_value=4),
+           eps=st.sampled_from([0.05, 0.1, 0.2, 0.3]),
+           n_max=st.integers(min_value=0, max_value=40),
+           grid=st.integers(min_value=2, max_value=6))
+    # a ball that misses a center through 16 block steps and meets it by 40
+    @example(make=lambda: corpus("circle_harmonic").family, r=3, eps=0.05, n_max=40,
+             grid=2)
+    def test_block_transitivity_scan(self, make, r, eps, n_max, grid):
+        # the scan r_transitivity_check runs
+        got = transitivity_scan(block_family(make(), r), eps, n_max, grid)
+        want = _reference_transitivity_scan(block_family(make(), r), eps, n_max, grid)
         assert got.render() == want.render()
 
     @settings(max_examples=40, deadline=None)
