@@ -34,6 +34,7 @@ from .space import (
     distances,
     metric,
     nearest_distance,
+    nearest_distances,
     net_centers,
     net_size,
     spread_exceeds,
@@ -503,9 +504,8 @@ def _center_distances(family: MapFamily, x, eps, n_max: int):
     _require_number(x)
     space = family.space
     window = FlowCache(family).window(x, n_max)
-    index = sorted(window)
-    return window, ((c, nearest_distance(space, index, c))
-                    for c in net_centers(space, eps))
+    centers = net_centers(space, eps)
+    return window, zip(centers, nearest_distances(space, sorted(window), centers))
 
 
 @_records_call
@@ -621,9 +621,7 @@ def r_transitivity_check(
 
 def _hull_meets_all(space, points, centers, eps):
     """First (center, min distance) the points miss by eps, or None if all are met."""
-    index = sorted(points)
-    for c in centers:
-        dmin = nearest_distance(space, index, c)
+    for c, dmin in zip(centers, nearest_distances(space, sorted(points), centers)):
         if dmin >= eps:
             return c, dmin
     return None
@@ -846,10 +844,20 @@ def ap_propagation_check(
 
 
 def _hausdorff(space: Space, a_pts, b_pts) -> float:
+    """max over both ways of max(nearest_distance(space, index, q) for q in queries).
+
+    Each way is one sweep of the sorted queries.  max keeps the first of equal
+    values, so on a Fraction/float tie the type follows the queries' own order.
+    """
     a_index, b_index = sorted(a_pts), sorted(b_pts)
-    d_ab = max(nearest_distance(space, b_index, a) for a in a_pts)
-    d_ba = max(nearest_distance(space, a_index, b) for b in b_pts)
-    return max(d_ab, d_ba)
+    worst = []
+    for index, queries, ordered in (b_index, a_pts, a_index), (a_index, b_pts, b_index):
+        ds = list(nearest_distances(space, index, ordered))
+        d = max(ds)
+        if ds.count(d) > 1 and len({type(e) for e in ds if e == d}) > 1:
+            d = max(nearest_distance(space, index, q) for q in queries)
+        worst.append(d)
+    return max(worst)
 
 
 @_records_call

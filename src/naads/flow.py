@@ -14,21 +14,21 @@ ascending for commutative families, blocks of one period for families with a
 declared period; other families' backward values come from omega itself.
 A rotation family with no rule moves float points by one inline loop over the
 float turns of its exact steps and builds no map until one is asked for; its
-block families are such families too, on their exact block steps.  A family
-with a rule, and its block families, apply each map's forward/inverse.
+block families are such families too, on their exact block steps (hull
+enumeration runs it over a frontier at once).  A family with a rule, and its
+block families, apply each map's forward/inverse.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import gcd
+from math import frexp, gcd, inf, ldexp
 
 from .errors import BudgetError, ConstructionError
 from .exact import RationalRotationFamily, points_budget
 from .maps import CircleRotation, Composite, Homeomorphism
-from .space import BOUNDARY_TOL, Space, nearest_distance
+from .space import BOUNDARY_TOL, Space, metric
 
 DEFAULT_HORIZON = 100_000
 
@@ -330,6 +330,28 @@ class HullSample:
     stabilized: bool = False
 
 
+def _windows(family: MapFamily, points: list, n_max: int):
+    """Each point's window at times -n_max..n_max, as FlowCache.window reads it.
+
+    Where _extend's inline loop runs both ways (declared commutative, float
+    turns, every point a float in the loop's range), each turn moves all points
+    in one list pass, storing nothing; else the store is read lazily, point by
+    point.  check_window and _turns_through raise first, as in a window read.
+    """
+    check_window(family, n_max)
+    if not (family.declared_commutative
+            and all(type(y) is float and -BOUNDARY_TOL <= y < 1 + BOUNDARY_TOL
+                    for y in points)
+            and family._turns_through(n_max) is not None):
+        cache = FlowCache(family)
+        return (cache.window(y, n_max) for y in points)
+    fwd, back = [points], [points]
+    for rows, turns in (fwd, family._turns), (back, family._back):
+        for a in turns[:n_max]:
+            rows.append([z - 1.0 if (z := (y + a) % 1.0) >= 1.0 else z for y in rows[-1]])
+    return zip(*back[:0:-1], *fwd)
+
+
 def hull_sample(
     family: MapFamily,
     x,
@@ -342,34 +364,52 @@ def hull_sample(
 
     Words are compositions of flow maps at times r in {-order_k, .., order_k}
     (time 0 is the identity and is harmless), at most ``depth`` letters long.
-    Each point's 2k + 1 successors come from one flow window of the family's
-    store, in time order.  Deduplication keeps the first representative within
-    dedup_eps.  A candidate equal to a kept point (a set lookup) is at distance
-    0 and is skipped at once; any other is tested against a sorted copy of the
-    kept points (space.nearest_distance), so a test costs O(log n) comparisons
-    and at most 4 inline distances, and keeping a point costs one O(n) insertion.
-    On rotation cycles most candidates are such exact repeats.  Hitting
+    Each point's 2k + 1 successors are its flow window, in time order; a round
+    reads its frontier's windows in one batch (_windows).  Deduplication keeps
+    the first representative within dedup_eps.  A candidate equal to a kept
+    point (a set lookup; on rotation cycles, most candidates) is at distance 0
+    and skipped at once.  Any other is compared, with nearest_distance's
+    operations, only with the kept points in its bucket and the two next to it
+    (around the circle).  Buckets are a power of two wide, at least twice
+    dedup_eps and BOUNDARY_TOL, at most 2, so no point of another bucket is
+    within dedup_eps, nor at the negative min(d, 1 - d) of a pair over 1 apart;
+    an x off the space's range shares one bucket with all.  Hitting
     ``max_points`` (globally capped by NAADS_BUDGET_POINTS) sets
     budget_exhausted; truncation is reported, never silent.
     """
-    if order_k < 1 or depth < 1 or dedup_eps <= 0:
-        raise ValueError("order_k, depth must be >= 1 and dedup_eps > 0")
+    if order_k < 1 or depth < 1 or not 0 < dedup_eps < inf:
+        raise ValueError("order_k, depth must be >= 1 and dedup_eps positive and finite")
     cap = points_budget(max_points, 4096)
-    cache = FlowCache(family)
     space = family.space
-    points = [x]
-    index = [x]  # the kept points, sorted
-    kept = {x}  # and hashed: equal values (0.5, Fraction(1, 2)) are at distance 0
-    frontier = [x]
+    circle = space is Space.CIRCLE
+    inside = -BOUNDARY_TOL <= x <= 1 + BOUNDARY_TOL
+    width = ldexp(1.0, min(frexp(max(dedup_eps, BOUNDARY_TOL))[1] + 1, 1) if inside else 1)
+    turn = 1 / width  # buckets around the circle
+    k = x // width if inside else 0.0
+    # key -> the kept points of that bucket and of the two next to it
+    buckets = {key % turn if circle else key: [x] for key in (k - 1, k, k + 1)}
+    points, kept, frontier = [x], {x}, [x]
     for _ in range(depth):
         new = []
-        for y in frontier:
-            for z in cache.window(y, order_k):  # times -order_k..order_k
-                if z not in kept and nearest_distance(space, index, z) >= dedup_eps:
+        for window in _windows(family, frontier, order_k):  # times -order_k..order_k
+            for z in window:
+                if z in kept:
+                    continue
+                k = z // width % turn if circle else z // width
+                for p in buckets.get(k, ()):
+                    d = abs(z - p)
+                    if circle and (e := 1 - d) < d:
+                        d = e
+                    if not d >= dedup_eps:
+                        break
+                else:
+                    if k != k and not all(metric(space, z, p) >= dedup_eps for p in points):
+                        continue  # a NaN or infinite z has a NaN key: test every point
                     kept.add(z)
                     points.append(z)
-                    insort(index, z)
                     new.append(z)
+                    for key in k - 1, k, k + 1:
+                        buckets.setdefault(key % turn if circle else key, []).append(z)
                     if len(points) >= cap:
                         return HullSample(points=points, budget_exhausted=True)
         if not new:

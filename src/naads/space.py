@@ -60,37 +60,47 @@ def distances(space: Space, xs, ys) -> list:
     return ds
 
 
-def nearest_distance(space: Space, sorted_points, q):
-    """``min(metric(space, q, p) for p in sorted_points)`` from at most 4 candidates.
+def nearest_distances(space: Space, sorted_points, sorted_queries):
+    """``[nearest_distance(space, sorted_points, q) for q in sorted_queries]``, bit for bit.
 
-    ``sorted_points`` is non-empty and ascending.  Rounded subtraction is
-    monotone, so |q - p| is least at the sorted neighbours of q and 1 - |q - p|
-    at the two extremes: the value equals the full scan bit for bit on floats
-    and exactly on fractions.  The candidates are read in place, with no list
-    built: the left neighbour (or the first point), the right one if q lies
-    inside, then on the circle the first and the last point.  Distances are
-    inline: min(d, 1 - d) is 1 - d if 1 - d < d, else d, and the strict < keeps
-    the first least candidate, as min keeps it.
+    Both lists ascend, so one sweep reads them: each query's bisection starts
+    where the last one's ended.  Rounded subtraction is monotone, so |q - p| is
+    least at the sorted neighbours of q and 1 - |q - p| at the two extremes.
+    The candidates are read in place in nearest_distance's order: the left
+    neighbour (or the first point), the right one if q lies inside, then on the
+    circle the first and the last point.  min(d, 1 - d) is 1 - d if 1 - d < d,
+    else d, and the strict < keeps the first least candidate, as min keeps it,
+    so a Fraction/float tie returns the same typed value.  Values come lazily.
     """
-    i = bisect_left(sorted_points, q)
-    circle = space is Space.CIRCLE
-    best = abs(q - sorted_points[i - 1 if i else 0])
-    if circle and (e := 1 - best) < best:
-        best = e
-    if 0 < i < len(sorted_points):
-        d = abs(q - sorted_points[i])
-        if circle and (e := 1 - d) < d:
-            d = e
-        if d < best:
-            best = d
-    if circle:
-        for p in sorted_points[0], sorted_points[-1]:
+    circle, n = space is Space.CIRCLE, len(sorted_points)
+    ends = (sorted_points[0], sorted_points[-1]) if circle else ()
+    i = 0
+    for q in sorted_queries:
+        i = bisect_left(sorted_points, q, i)
+        best = abs(q - sorted_points[i - 1 if i else 0])
+        if circle and (e := 1 - best) < best:
+            best = e
+        if 0 < i < n:
+            d = abs(q - sorted_points[i])
+            if circle and (e := 1 - d) < d:
+                d = e
+            if d < best:
+                best = d
+        for p in ends:
             d = abs(q - p)
             if (e := 1 - d) < d:
                 d = e
             if d < best:
                 best = d
-    return best
+        yield best
+
+
+def nearest_distance(space: Space, sorted_points, q):
+    """``min(metric(space, q, p) for p in sorted_points)``, non-empty and ascending.
+
+    Bit for bit on floats and exactly on fractions (see nearest_distances).
+    """
+    return next(nearest_distances(space, sorted_points, (q,)))
 
 
 def spread_exceeds(space: Space, points, delta) -> bool:

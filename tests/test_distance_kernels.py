@@ -1,10 +1,12 @@
 """The inline distance kernels against the metric calls they replace.
 
-``space.distances`` is one row of ``metric`` values, and the hull enumeration
-and the checker time scans read distance rows and flow windows where they
-called ``metric`` and ``FlowCache.omega`` once per time.  Each test compares
-one of them, value for value (``repr`` keeps -0.0 and the float/Fraction
-type), with a copy of the per-call loop it replaces.
+``space.distances`` is one row of ``metric`` values and
+``space.nearest_distances`` one sweep of nearest-point queries; the hull
+enumeration and the checker time scans read distance rows and flow windows
+where they called ``metric`` and ``FlowCache.omega`` once per time, and hull
+deduplication compares within buckets where it queried a sorted index.  Each
+test compares one of them, value for value (``repr`` keeps -0.0 and the
+float/Fraction type), with a copy of the per-call loop it replaces.
 """
 
 import os
@@ -13,23 +15,28 @@ from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naads import (
     CircleRotation,
     FlowCache,
+    HullSample,
     MapFamily,
+    Reflection,
     Space,
+    block_family,
     corpus,
     hull_sample,
     metric,
     nearest_distance,
     proximal_liminf,
 )
-from naads.checkers import _first_far_time, _scan_times
-from naads.exact import points_budget
-from naads.space import BOUNDARY_TOL, distances
+from naads.checkers import _first_far_time, _hausdorff, _scan_times
+from naads.corpus import rotation_family
+from naads.exact import RationalRotationFamily, points_budget
+from naads.space import BOUNDARY_TOL, distances, nearest_distances
 
 # the circle's edge values, and floats just past 1 that the boundary slack admits
 edge = st.sampled_from([0.0, 0.5, 1 - 2 ** -53, 2 ** -53, 0.25, 0.75, 1.0])
@@ -158,6 +165,67 @@ def _cycle(angles):
                      "cycle", declared_commutative=True, declared_isometric=True)
 
 
+class _Counted:
+    """A point type that counts its floor divisions and records its subtractions."""
+
+    log: dict = {}
+
+    def __floordiv__(self, other):
+        _Counted.log["keys"] += 1
+        return super().__floordiv__(other)
+
+    def __sub__(self, other):
+        _Counted.log["pairs"].append((self, other))
+        return super().__sub__(other)
+
+
+class _CountedFloat(_Counted, float):
+    pass
+
+
+class _CountedFraction(_Counted, Fraction):
+    pass
+
+
+def _counted(v):
+    return (_CountedFraction if isinstance(v, Fraction) else _CountedFloat)(v)
+
+
+class _CountedRotation(CircleRotation):
+    def forward(self, x):
+        return _counted(super().forward(x))
+
+    def inverse(self, x):
+        return _counted(super().inverse(x))
+
+
+def _rule_less(angles, r=1, commutative=True, horizon=100_000):
+    """A fresh rotation family with no rule on the cycle ``angles``, in blocks of r."""
+    steps = [(Fraction(a) % 1).as_integer_ratio() for a in angles]
+    exact = RationalRotationFamily(lambda n: steps[(n - 1) % len(steps)], "cycle")
+    family = rotation_family("cycle", exact.rule) if commutative else MapFamily(
+        Space.CIRCLE, None, "cycle", declared_isometric=True, exact=exact)
+    family.horizon = horizon
+    return block_family(family, r)
+
+
+# x values at and past the ends of the circle's coordinates, and Fractions,
+# some outside [0, 1): a Fraction x moves by exact steps wherever it starts
+edge_x = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 1 - 2 ** -53, 0.5, -5e-10]), past_one,
+    st.floats(min_value=0.0, max_value=1.0), frac_pt,
+    st.sampled_from([Fraction(5, 2), Fraction(-1, 3), Fraction(3, 2), Fraction(-7),
+                     Fraction(-10 ** 400)]))  # past float range: no key for it
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the repr of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return repr(exc)
+
+
 class TestHullWindowMatchesOmegaLoop:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -182,11 +250,15 @@ class TestHullWindowMatchesOmegaLoop:
              max_points=None, env=None)
     @example(angles=[0.1, 0.2, 0.3], x=0.0, order_k=2, depth=3, dedup_eps=5e-324,
              max_points=40, env=None)
+    # a NaN angle makes NaN candidates: no key finds their neighbours, and the
+    # scan over every kept point drops them, as nearest_distance's NaN did
+    @example(angles=[float("nan")], x=0.3, order_k=1, depth=2, dedup_eps=1e-9,
+             max_points=None, env=None)
     def test_rotation_cycles(self, angles, x, order_k, depth, dedup_eps, max_points, env):
         _check_hull(_cycle(angles), x, order_k, depth, dedup_eps, max_points, env)
 
-    # an exact repeat never reaches the nearest-point kernel; every other
-    # candidate still does
+    # an exact repeat never reaches the dedup kernel: the points themselves count
+    # their bucket keys (//) and record each distance they enter (-)
     @settings(max_examples=30, deadline=None)
     @given(
         angles=st.lists(st.one_of(
@@ -202,14 +274,89 @@ class TestHullWindowMatchesOmegaLoop:
     @example(angles=[Fraction(1, 3), Fraction(-1, 3)], x=Fraction(1, 5), order_k=3,
              depth=4, dedup_eps=1e-9)
     def test_exact_repeats_skip_the_kernel(self, angles, x, order_k, depth, dedup_eps):
-        family = _cycle(angles)
-        tally = {}
+        tally, log = {}, {"keys": 0, "pairs": []}
+        _Counted.log = log
         with _points_env(None):
-            _reference_hull(family, x, order_k, depth, dedup_eps, None, tally)
-            with mock.patch("naads.flow.nearest_distance",
-                            wraps=nearest_distance) as kernel:
-                hull_sample(family, x, order_k, depth, dedup_eps)
-        assert kernel.call_count == tally["candidates"] - tally["repeats"]
+            points, _, _ = _reference_hull(_cycle(angles), x, order_k, depth, dedup_eps,
+                                           None, tally)
+            counted = MapFamily(Space.CIRCLE,
+                                lambda n: _CountedRotation(angles[(n - 1) % len(angles)]),
+                                "counted", declared_commutative=True)
+            hs = hull_sample(counted, _counted(x), order_k, depth, dedup_eps)
+        assert hs.points == points
+        # one key for x, then one per candidate that is not an exact repeat
+        assert log["keys"] == 1 + tally["candidates"] - tally["repeats"]
+        assert all(z != p for z, p in log["pairs"])
+
+    # rotation families with no rule: a declared-commutative one and its block
+    # families read each round's windows in one batch over their turns; one not
+    # declared commutative reads its backward windows through omega
+    @settings(max_examples=80, deadline=None)
+    @given(
+        angles=st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=12),
+                        min_size=1, max_size=4),
+        r=st.sampled_from([1, 2, 3]),
+        commutative=st.booleans(),
+        x=edge_x,
+        order_k=st.integers(min_value=1, max_value=4),
+        depth=st.integers(min_value=1, max_value=4),
+        dedup_eps=st.sampled_from([5e-324, 1e-9, 0.3, 2.0]),
+        max_points=st.sampled_from([None, 3, 40]),
+        env=st.sampled_from([None, "1", "60"]),
+    )
+    @example(angles=[Fraction(1, 3)], r=1, commutative=True, x=1 - 2 ** -53, order_k=2,
+             depth=3, dedup_eps=5e-324, max_points=None, env=None)
+    @example(angles=[Fraction(1, 7), Fraction(-1, 7)], r=1, commutative=True,
+             x=1.0000000005, order_k=3, depth=3, dedup_eps=5e-324, max_points=None,
+             env=None)
+    @example(angles=[Fraction(1, 7), Fraction(1, 5)], r=2, commutative=False, x=-0.0,
+             order_k=2, depth=3, dedup_eps=1e-9, max_points=None, env=None)
+    @example(angles=[Fraction(1, 4)], r=1, commutative=True, x=Fraction(5, 2), order_k=2,
+             depth=3, dedup_eps=1e-9, max_points=None, env=None)
+    def test_rule_less_families(self, angles, r, commutative, x, order_k, depth, dedup_eps,
+                                max_points, env):
+        family = _rule_less(angles, r, commutative)
+        with _points_env(env):
+            hs = hull_sample(family, x, order_k, depth, dedup_eps, max_points)
+            points, exhausted, stabilized = _reference_hull(
+                _rule_less(angles, r, commutative), x, order_k, depth, dedup_eps,
+                max_points)
+        assert _reprs(hs.points) == _reprs(points)
+        assert (hs.budget_exhausted, hs.stabilized) == (exhausted, stabilized)
+        # the batch stores no trajectory; a lazy read stores the ones it reads
+        batch = commutative and type(x) is float
+        assert (family._traj == {}) == batch
+
+    # a circle family whose maps reach 1.0, which is 0.0: its key wraps to 0's
+    @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 1 - 2 ** -53])
+    @pytest.mark.parametrize("dedup_eps", [5e-324, 1e-9, 0.3])
+    def test_circle_points_past_one(self, x, dedup_eps):
+        def flip():
+            return MapFamily(Space.CIRCLE, lambda n: Reflection(), "flip",
+                             declared_isometric=True)
+        hs = hull_sample(flip(), x, 2, 3, dedup_eps)
+        points, exhausted, stabilized = _reference_hull(flip(), x, 2, 3, dedup_eps, None)
+        assert _reprs(hs.points) == _reprs(points)
+        assert (hs.budget_exhausted, hs.stabilized) == (exhausted, stabilized)
+
+    # a point off the circle's coordinates, a broken declaration, the horizon and
+    # the denominator budget end hull_sample as they end its first window read
+    @pytest.mark.parametrize("make", [
+        lambda: _rule_less([Fraction(1, 3)]),
+        lambda: _rule_less([Fraction(1, 3)], horizon=3),
+        lambda: _rule_less([Fraction(1, 3)], r=2, horizon=5),
+        lambda: MapFamily(Space.CIRCLE, None, "bad_period", declared_commutative=True,
+                          declared_period=1, exact=RationalRotationFamily(
+                              lambda n: (1, n + 1), "bad_period")),
+        lambda: rotation_family("huge", lambda n: (1, 2 ** (5000 * n))),
+        lambda: _cycle([0.25, float("nan")]),
+    ])
+    @pytest.mark.parametrize("x", [0.3, Fraction(1, 3), 1.5, -0.5, 1 + 2e-9, float("inf"),
+                                   float("nan")])
+    def test_errors_match_the_first_window(self, make, x):
+        want = _outcome(FlowCache(make()).window, x, 4)
+        got = _outcome(hull_sample, make(), x, 4, 2)
+        assert got == want if isinstance(want, str) else isinstance(got, HullSample)
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["example1_tent_sqrt", "example2_powers"]),
@@ -219,6 +366,64 @@ class TestHullWindowMatchesOmegaLoop:
     def test_interval_families(self, name, x, order_k, depth, dedup_eps, max_points, env):
         # example1 reads periodic backward windows, example2 commutative ones
         _check_hull(corpus(name).family, x, order_k, depth, dedup_eps, max_points, env)
+
+
+def _single_type(*lists):
+    return len({type(p) for ps in lists for p in ps}) == 1
+
+
+def _brute_nearest(space, pts, q):
+    return min(metric(space, q, p) for p in pts)
+
+
+class TestHausdorffSweep:
+    """The one-sweep kernel and _hausdorff against per-query scans, by repr.
+
+    On lists of one type each value is the brute-force min over all points.
+    On mixed lists a Fraction and a float distance may tie, and the value's
+    type is that of nearest_distance's first least candidate, as the
+    reference reads them.
+    """
+
+    @given(space=st.sampled_from(list(Space)),
+           pts=st.one_of(st.lists(float_pt, min_size=1, max_size=10),
+                         st.lists(frac_pt, min_size=1, max_size=10),
+                         st.lists(any_pt, min_size=1, max_size=10)),
+           queries=st.lists(any_pt, max_size=10))
+    @example(space=Space.CIRCLE, pts=[0.99], queries=[0.01, 0.5, 0.98])  # across 0
+    @example(space=Space.CIRCLE, pts=[0.01, 0.99], queries=[0.0, 0.01, 0.99, 1.0])
+    @example(space=Space.CIRCLE, pts=[0.5, Fraction(1, 2), 0.5], queries=[0.5, 0.5])
+    @example(space=Space.UNIT_INTERVAL, pts=[0.25, Fraction(3, 4)],
+             queries=[Fraction(1, 2), 0.5, Fraction(1, 2)])
+    @example(space=Space.CIRCLE, pts=[Fraction(1, 4), 0.75], queries=[Fraction(1, 2)])
+    def test_kernel_equals_per_query_scans(self, space, pts, queries):
+        pts, queries = sorted(pts), sorted(queries)
+        got = list(nearest_distances(space, pts, queries))
+        assert _reprs(got) == _reprs([_reference_nearest(space, pts, q) for q in queries])
+        if _single_type(pts, queries):
+            assert _reprs(got) == _reprs([_brute_nearest(space, pts, q) for q in queries])
+
+    @given(space=st.sampled_from(list(Space)),
+           a=st.one_of(st.lists(float_pt, min_size=1, max_size=10),
+                       st.lists(frac_pt, min_size=1, max_size=10),
+                       st.lists(any_pt, min_size=1, max_size=10)),
+           b=st.one_of(st.lists(float_pt, min_size=1, max_size=10),
+                       st.lists(frac_pt, min_size=1, max_size=10),
+                       st.lists(any_pt, min_size=1, max_size=10)))
+    @example(space=Space.CIRCLE, a=[0.99], b=[0.01])  # a wrap pair: 0.02 apart
+    @example(space=Space.CIRCLE, a=[0.99, 0.99, 0.5], b=[0.01, 0.5, 0.5])  # duplicates
+    # both directions tie at 1/4: a Fraction and a float, the first in query order
+    @example(space=Space.CIRCLE, a=[Fraction(1, 4), 0.75], b=[Fraction(1, 2), 0.5])
+    @example(space=Space.CIRCLE, a=[0.75, Fraction(1, 4)], b=[Fraction(1, 2), 0.5])
+    @example(space=Space.UNIT_INTERVAL, a=[0.5, Fraction(1, 2)], b=[0.25, Fraction(3, 4)])
+    def test_hausdorff_equals_brute_force(self, space, a, b):
+        if _single_type(a, b):
+            want = max(max(_brute_nearest(space, b, p) for p in a),
+                       max(_brute_nearest(space, a, q) for q in b))
+        else:
+            want = max(max(_reference_nearest(space, sorted(b), p) for p in a),
+                       max(_reference_nearest(space, sorted(a), q) for q in b))
+        assert repr(_hausdorff(space, a, b)) == repr(want)
 
 
 def _reference_first_far(space, cache, a, b, w, eps, done=-1):

@@ -358,6 +358,14 @@ class TestHullSample:
         with pytest.raises(ValueError):
             hull_sample(fam, 0.5, order_k=1, depth=1, dedup_eps=0.0)
 
+    # a NaN dedup_eps compared false with every distance, an infinite one kept
+    # nothing: both returned {x} as a stabilized hull
+    @pytest.mark.parametrize("dedup_eps", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_dedup_eps_rejected(self, dedup_eps):
+        fam = corpus("circle_harmonic").family
+        with pytest.raises(ValueError, match="dedup_eps"):
+            hull_sample(fam, 0.3, order_k=2, depth=2, dedup_eps=dedup_eps)
+
 
 class TestDeclarations:
     """A map that breaks its family's declaration raises ConstructionError when built."""
