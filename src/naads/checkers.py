@@ -95,24 +95,6 @@ def _scan_times(n_max: int):
         yield -n
 
 
-def _isometry_slack(family: MapFamily, n_max: int, points):
-    """How far a float distance between two window rows can stray over |n| <= n_max.
-
-    A rotation keeps every exact distance, and each window entry lies within
-    flow.rotation_drift of its exact value; so a float distance at time n is
-    within twice the drift, plus the rounding of the metric and of the caller's
-    comparison, of its value at time 0 (or of another point's row, for return
-    distances).  The sum is doubled rather than argued to the ulp.  None
-    unless the family runs the inline rotation loop on the circle and every
-    point is a float in [0, 1), where that bound holds.
-    """
-    if family.space is not Space.CIRCLE or not all(
-            type(p) is float and 0.0 <= p < 1.0 for p in points):
-        return None
-    drift = rotation_drift(family, n_max)
-    return None if drift is None else 2 * (2 * drift + 2 ** -50)
-
-
 # ---------------------------------------------------------------------------
 # periodicity and return times
 
@@ -231,7 +213,7 @@ def uniform_ap_report(
     which gives its bounds at N and 2N; the first bound that grows ends the scan.
     On a rotation the return distance at time n is ||disp(n)|| from every
     point, so when no entry of the first point's row lies within the drift
-    slack of eps (_isometry_slack), every grid point has its return times and
+    slack of eps (flow.rotation_drift), every grid point has its return times and
     that one window decides the report.
     """
     if grid_size < 2:
@@ -246,7 +228,7 @@ def uniform_ap_report(
             return PropertyReport("uniform_almost_periodicity", Verdict.EVIDENCE_AGAINST,
                                   details={"worst_point": g, "gap_trend": trend})
         worst_m = max(worst_m, g2)
-        if g is grid[0] and (slack := _isometry_slack(family, 2 * n_max, grid)) is not None:
+        if g is grid[0] and (slack := rotation_drift(family, grid, 2 * n_max)) is not None:
             row = distances(family.space, FlowCache(family).window(g, 2 * n_max), repeat(g))
             if all(abs(d - eps) > slack for d in row):
                 break
@@ -312,7 +294,7 @@ def equicontinuity_modulus(
     0.75*delta around a uniform grid.  The modulus is recomputed at windows
     N, 2N, 4N: a strictly shrinking trend (or no passing candidate) is
     evidence against equicontinuity.  On a rotation, when every pair of the
-    first candidate is closer than eps by the drift slack (_isometry_slack),
+    first candidate is closer than eps by the drift slack (flow.rotation_drift),
     that candidate passes at every window with no window read.
     """
     if not 0 < eps < math.inf:  # also rejects eps = nan
@@ -331,7 +313,7 @@ def equicontinuity_modulus(
     # the turns are read only where the first candidate's pairs are eps-close at time 0
     pairs = _nearby_pairs(space, grid_pts, candidates[0])
     d0 = max((metric(space, a, b) for a, b in pairs), default=eps)
-    slack = _isometry_slack(family, windows[-1], chain(*pairs)) if d0 < eps else None
+    slack = rotation_drift(family, chain(*pairs), windows[-1]) if d0 < eps else None
     if slack is not None and d0 < eps - slack:
         scanned = dict.fromkeys(pairs, (windows[-1], None))
     for w in windows:
@@ -456,7 +438,7 @@ def sensitivity_at_point(
     A ball's sample windows are read at min(N, SHORT_READ), and at N only if no
     pair separates there, so a witness is the first separation in time order.  On
     a rotation a ball whose samples lie within delta by the drift slack
-    (_isometry_slack) at time 0 never expands, and its windows are not read.
+    (flow.rotation_drift) at time 0 never expands, and its windows are not read.
     """
     if samples < 2 or any(not 0 < r < math.inf for r in radii):  # also rejects r = nan
         raise ValueError("need samples >= 2 and positive finite radii")
@@ -473,8 +455,8 @@ def sensitivity_at_point(
         pts = _ball_samples(space, x, radius, samples)
         check_window(family, n_max)  # the full read's budget: a short hit must not hide it
         # a ball split at time 0 keeps its scan, which reads no turn past the short read
-        slack = None if spread_exceeds(space, pts, delta) else _isometry_slack(
-            family, n_max, pts)
+        slack = None if spread_exceeds(space, pts, delta) else rotation_drift(
+            family, pts, n_max)
         hit = None
         if slack is None or spread_exceeds(space, pts, delta - slack):
             hit = _first_expansion(space, pts, [cache.window(p, short) for p in pts],

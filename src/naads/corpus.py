@@ -21,19 +21,6 @@ from .maps import Composite, PiecewiseLinear, PowerMap, Reflection
 from .report import Verdict
 from .space import Space
 
-CORPUS_NAMES = (
-    "identity",
-    "example1_tent_sqrt",
-    "example2_powers",
-    "circle_settling",
-    "circle_ex4",
-    "circle_harmonic",
-    "interval_square_sqrt",
-)
-
-ROTATION_NAMES = ("circle_settling", "circle_ex4", "circle_harmonic")
-
-
 @dataclass
 class CorpusEntry:
     name: str
@@ -256,6 +243,8 @@ _BUILDERS = {
     "circle_harmonic": _harmonic,
     "interval_square_sqrt": _square_sqrt,
 }
+
+CORPUS_NAMES = tuple(_BUILDERS)
 
 
 def corpus(name: str) -> CorpusEntry:

@@ -192,35 +192,31 @@ class HullDisplacements:
         return tuple(RationalAngle(Fraction(n, self.denominator)) for n in self.numerators)
 
 
-def points_budget(requested: int | None, default: int) -> int:
-    """``requested`` (else ``default``), lowered by NAADS_BUDGET_POINTS if set."""
-    cap = requested if requested is not None else default
+def points_budget(default: int) -> int:
+    """``default``, lowered by NAADS_BUDGET_POINTS if set."""
     env = os.environ.get("NAADS_BUDGET_POINTS")
     if env:
         if not env.strip().isdecimal() or int(env) < 1:
             raise SchemaError(f"NAADS_BUDGET_POINTS={env!r} is not a positive integer")
-        cap = min(cap, int(env))
-    return cap
+        return min(default, int(env))
+    return default
 
 
 def exact_hull_displacements(
-    fam: RationalRotationFamily,
-    order_k: int,
-    depth: int,
-    max_size: int | None = None,
+    fam: RationalRotationFamily, order_k: int, depth: int
 ) -> HullDisplacements:
     """All sums of <= depth flow displacements with |time| <= order_k, mod 1.
 
     For a rotation family the order-k hull of x is exactly x plus this set.
-    The set is exact (no dedup tolerance); growth is capped by ``max_size``
-    (further capped by NAADS_BUDGET_POINTS), reported via budget_exhausted.
+    The set is exact (no dedup tolerance); growth is capped at 65536 points
+    (lowered by NAADS_BUDGET_POINTS), reported via budget_exhausted.
     Sums run on numerators over D, the lcm of the generators' denominators,
     in the angles' own order; a sum's reduced denominator divides D, so only a
     D over the bit budget needs each sum checked, as its angle would be.
     """
     if order_k < 1 or depth < 1:
         raise ValueError("order_k and depth must be >= 1")
-    cap = points_budget(max_size, 65536)
+    cap = points_budget(65536)
     gens = {fam.displacement(r) for r in range(-order_k, order_k + 1)}
     D = math.lcm(*(g.denominator for g in gens))
     generators = sorted(g.numerator * (D // g.denominator) for g in gens)

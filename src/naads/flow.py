@@ -14,16 +14,18 @@ ascending for commutative families, blocks of one period for families with a
 declared period; other families' backward values come from omega itself.
 A rotation family with no rule moves float points by one inline loop over the
 float turns of its exact steps and builds no map until one is asked for; its
-block families are such families too, on their exact block steps (hull
-enumeration runs it over a frontier at once).  A family with a rule, and its
-block families, apply each map's forward/inverse.
+block families are such families too, on their exact block steps.  One gate,
+MapFamily.rides_turns, decides which points take that loop, for a trajectory,
+for hull enumeration's batch over a frontier and for the drift slack
+(rotation_drift).  A family with a rule, and its block families, apply each
+map's forward/inverse.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import frexp, gcd, inf, ldexp
+from math import gcd
 
 from .errors import BudgetError, ConstructionError
 from .exact import RationalRotationFamily, points_budget
@@ -31,6 +33,11 @@ from .maps import CircleRotation, Composite, Homeomorphism
 from .space import BOUNDARY_TOL, Space, metric
 
 DEFAULT_HORIZON = 100_000
+# hull_sample keeps no two points closer than this
+DEDUP_EPS = 1e-9
+# The dedup bucket width: the least power of two at least twice DEDUP_EPS and
+# BOUNDARY_TOL, so a point within DEDUP_EPS lies in its bucket or the next.
+_BUCKET = 2.0 ** -28
 
 
 class MapFamily:
@@ -117,6 +124,19 @@ class MapFamily:
             maps.append(h)
         return maps
 
+    def rides_turns(self, points, n: int) -> bool:
+        """Whether the inline loop moves every point through f_n: the family has
+        no rule and each point is a float in CircleRotation's range.  The turns
+        are then read through n, so their budget and period errors fire here.
+        """
+        if self._turns is None:
+            return False
+        for y in points:
+            if type(y) is not float or not -BOUNDARY_TOL <= y < 1 + BOUNDARY_TOL:
+                return False
+        self._turns_through(n)
+        return True
+
     def _turns_through(self, n: int) -> list[float] | None:
         """The float turns, read through f_n, or None for the per-map path."""
         turns = self._turns
@@ -174,8 +194,7 @@ def _extend(family: MapFamily, traj: list, n: int, inverse: bool) -> None:
     in [0, 1), the range check of the first step holds at every later one.
     """
     lo, y = len(traj), traj[-1]
-    if (type(y) is not float or not -BOUNDARY_TOL <= y < 1 + BOUNDARY_TOL
-            or family._turns_through(n) is None):
+    if not family.rides_turns((y,), n):
         for h in family._maps_through(n)[lo - 1:n]:
             y = h.inverse(y) if inverse else h.forward(y)
             traj.append(y)
@@ -188,21 +207,24 @@ def _extend(family: MapFamily, traj: list, n: int, inverse: bool) -> None:
         append(y)
 
 
-def rotation_drift(family: MapFamily, n_max: int) -> float | None:
-    """How far a window entry at |n| <= n_max lies from its exact rotation.
+def rotation_drift(family: MapFamily, points, n_max: int) -> float | None:
+    """How far a float distance between window rows may stray over |n| <= n_max.
 
     From a float start in [0, 1), each turn of _extend's inline loop rounds
-    the turn a / b once (at most 2**-54) and its sum at most twice (at most
-    2**-53 each), so entry n lies within |n| * 2**-51 of x + disp(n) in
-    circle distance; a block family turns once per block.  None for a family
-    whose windows do not run that loop (a rule's maps).  The bound reads the
-    turns through n_max after check_window, so the horizon, denominator-budget
-    and declared-period errors fire as a full read of the window fires them.
+    a / b once (at most 2**-54) and its sum at most twice (2**-53 each), so
+    entry n lies within |n| * 2**-51 of x + disp(n); a block family turns once
+    per block.  A rotation keeps exact distances, so a distance at time n is
+    within twice that drift, plus the metric's and the caller's rounding, of
+    its value at time 0; the sum is doubled rather than argued to the ulp.
+    None unless the circle points are floats in [0, 1) that ride the turns
+    (MapFamily.rides_turns).  check_window runs first, as in a full read.
     """
     check_window(family, n_max)
-    if family._turns_through(n_max) is None:
+    points = list(points)
+    if (family.space is not Space.CIRCLE or not all(0.0 <= p < 1.0 for p in points)
+            or not family.rides_turns(points, n_max)):
         return None
-    return n_max * 2 ** -51
+    return 2 * (2 * n_max * 2 ** -51 + 2 ** -50)
 
 
 class FlowCache:
@@ -320,7 +342,7 @@ class HullSample:
     """Finite deduplicated approximation of an order-k truncated hull.
 
     ``points`` lists points in discovery order (breadth-first by word length,
-    then by flow index ascending), no two closer than hull_sample's dedup_eps.
+    then by flow index ascending), no two closer than DEDUP_EPS.
     ``stabilized`` records that an expansion round added nothing, i.e. the
     sample is closed under the truncated flow at this tolerance.
     """
@@ -333,16 +355,14 @@ class HullSample:
 def _windows(family: MapFamily, points: list, n_max: int):
     """Each point's window at times -n_max..n_max, as FlowCache.window reads it.
 
-    Where _extend's inline loop runs both ways (declared commutative, float
-    turns, every point a float in the loop's range), each turn moves all points
-    in one list pass, storing nothing; else the store is read lazily, point by
-    point.  check_window and _turns_through raise first, as in a window read.
+    Where _extend's inline loop runs both ways (the family is declared
+    commutative and its points ride the turns, MapFamily.rides_turns), each
+    turn moves all points in one list pass, storing nothing; else the store is
+    read lazily, point by point.  check_window and the turns' read raise
+    first, as in a window read.
     """
     check_window(family, n_max)
-    if not (family.declared_commutative
-            and all(type(y) is float and -BOUNDARY_TOL <= y < 1 + BOUNDARY_TOL
-                    for y in points)
-            and family._turns_through(n_max) is not None):
+    if not (family.declared_commutative and family.rides_turns(points, n_max)):
         cache = FlowCache(family)
         return (cache.window(y, n_max) for y in points)
     fwd, back = [points], [points]
@@ -352,40 +372,30 @@ def _windows(family: MapFamily, points: list, n_max: int):
     return zip(*back[:0:-1], *fwd)
 
 
-def hull_sample(
-    family: MapFamily,
-    x,
-    order_k: int,
-    depth: int,
-    dedup_eps: float = 1e-9,
-    max_points: int | None = None,
-) -> HullSample:
+def hull_sample(family: MapFamily, x, order_k: int, depth: int) -> HullSample:
     """Breadth-first enumeration of flow words applied to x.
 
     Words are compositions of flow maps at times r in {-order_k, .., order_k}
     (time 0 is the identity and is harmless), at most ``depth`` letters long.
     Each point's 2k + 1 successors are its flow window, in time order; a round
     reads its frontier's windows in one batch (_windows).  Deduplication keeps
-    the first representative within dedup_eps.  A candidate equal to a kept
+    the first representative within DEDUP_EPS.  A candidate equal to a kept
     point (a set lookup; on rotation cycles, most candidates) is at distance 0
-    and skipped at once.  Any other is compared, with nearest_distance's
-    operations, only with the kept points in its bucket and the two next to it
-    (around the circle).  Buckets are a power of two wide, at least twice
-    dedup_eps and BOUNDARY_TOL, at most 2, so no point of another bucket is
-    within dedup_eps, nor at the negative min(d, 1 - d) of a pair over 1 apart;
-    an x off the space's range shares one bucket with all.  Hitting
-    ``max_points`` (globally capped by NAADS_BUDGET_POINTS) sets
+    and skipped at once.  Any other is compared, with metric's operations, only
+    with the kept points in its bucket and the two next to it (around the
+    circle).  Buckets are _BUCKET wide, so no point of another bucket is within
+    DEDUP_EPS; an x off the space's range shares one bucket with all.  Hitting
+    the points budget (4096, lowered by NAADS_BUDGET_POINTS) sets
     budget_exhausted; truncation is reported, never silent.
     """
-    if order_k < 1 or depth < 1 or not 0 < dedup_eps < inf:
-        raise ValueError("order_k, depth must be >= 1 and dedup_eps positive and finite")
-    cap = points_budget(max_points, 4096)
+    if order_k < 1 or depth < 1:
+        raise ValueError("order_k and depth must be >= 1")
+    cap = points_budget(4096)
     space = family.space
     circle = space is Space.CIRCLE
     inside = -BOUNDARY_TOL <= x <= 1 + BOUNDARY_TOL
-    width = ldexp(1.0, min(frexp(max(dedup_eps, BOUNDARY_TOL))[1] + 1, 1) if inside else 1)
+    width, k = (_BUCKET, x // _BUCKET) if inside else (2.0, 0.0)
     turn = 1 / width  # buckets around the circle
-    k = x // width if inside else 0.0
     # key -> the kept points of that bucket and of the two next to it
     buckets = {key % turn if circle else key: [x] for key in (k - 1, k, k + 1)}
     points, kept, frontier = [x], {x}, [x]
@@ -399,11 +409,11 @@ def hull_sample(
                 for p in buckets.get(k, ()):
                     d = abs(z - p)
                     if circle and (e := 1 - d) < d:
-                        d = e
-                    if not d >= dedup_eps:
+                        d = abs(e)
+                    if not d >= DEDUP_EPS:
                         break
                 else:
-                    if k != k and not all(metric(space, z, p) >= dedup_eps for p in points):
+                    if k != k and not all(metric(space, z, p) >= DEDUP_EPS for p in points):
                         continue  # a NaN or infinite z has a NaN key: test every point
                     kept.add(z)
                     points.append(z)

@@ -132,6 +132,7 @@ class CircleRotation(Homeomorphism):
 
     Rational angles are kept exact; rotating a Fraction point by a rational
     angle stays in exact arithmetic, everything else runs in floats mod 1.
+    Every point, exact or float, must lie in [-BOUNDARY_TOL, 1 + BOUNDARY_TOL).
     A Fraction angle already in [0, 1) is kept as the same object, so a map
     built from an exact step shares its value.
     """
@@ -151,10 +152,10 @@ class CircleRotation(Homeomorphism):
         self._angle_float = a if type(a) is float else a.numerator / a.denominator
 
     def _shift(self, x, amount, amount_float):
-        if isinstance(x, Fraction) and isinstance(self.angle, Fraction):
-            return (x + amount) % 1
         if not (-BOUNDARY_TOL <= x < 1 + BOUNDARY_TOL):
             raise DomainError(f"point {x!r} outside circle coordinates")
+        if isinstance(x, Fraction) and isinstance(self.angle, Fraction):
+            return (x + amount) % 1
         return wrap_circle(x + amount_float)
 
     def forward(self, x):

@@ -46,9 +46,10 @@ def wrap_circle(x):
 
 
 def metric(space: Space, x, y):
+    """|x - y|; on the circle min(d, |1 - d|), never negative, even past 1 apart."""
     d = abs(x - y)
     if space is Space.CIRCLE:
-        return min(d, 1 - d)
+        return min(d, abs(1 - d))
     return d
 
 
@@ -56,8 +57,23 @@ def distances(space: Space, xs, ys) -> list:
     """``[metric(space, x, y) for x, y in zip(xs, ys)]`` bit for bit, in two passes."""
     ds = [abs(x - y) for x, y in zip(xs, ys)]
     if space is Space.CIRCLE:
-        return [e if (e := 1 - d) < d else d for d in ds]
+        return [abs(e) if (e := 1 - d) < d else d for d in ds]
     return ds
+
+
+def _across_one(sorted_points, q, d, below: bool):
+    """min(d, the circle distances from q of the points that straddle q -+ 1).
+
+    ``d`` is the distance from q to an extreme more than 1 away, below q or
+    above it.  Rounded subtraction is monotone, so on that side |q - p| - 1 is
+    least at the nearest point still over 1 away, 1 - |q - p| at the next one.
+    """
+    j = bisect_left(sorted_points, True,
+                    key=(lambda p: q - p <= 1) if below else (lambda p: p - q > 1))
+    for p in sorted_points[max(j - 1, 0):j + 1]:
+        if (e := metric(Space.CIRCLE, q, p)) < d:
+            d = e
+    return d
 
 
 def nearest_distances(space: Space, sorted_points, sorted_queries):
@@ -68,9 +84,10 @@ def nearest_distances(space: Space, sorted_points, sorted_queries):
     least at the sorted neighbours of q and 1 - |q - p| at the two extremes.
     The candidates are read in place in nearest_distance's order: the left
     neighbour (or the first point), the right one if q lies inside, then on the
-    circle the first and the last point.  min(d, 1 - d) is 1 - d if 1 - d < d,
-    else d, and the strict < keeps the first least candidate, as min keeps it,
-    so a Fraction/float tie returns the same typed value.  Values come lazily.
+    circle the first and the last point, each followed by _across_one's if it
+    lies over 1 from q.  min(d, |1 - d|) is |1 - d| if 1 - d < d, else d, and
+    the strict < keeps the first least candidate, as min keeps it, so a
+    Fraction/float tie returns the same typed value.  Values come lazily.
     """
     circle, n = space is Space.CIRCLE, len(sorted_points)
     ends = (sorted_points[0], sorted_points[-1]) if circle else ()
@@ -79,17 +96,17 @@ def nearest_distances(space: Space, sorted_points, sorted_queries):
         i = bisect_left(sorted_points, q, i)
         best = abs(q - sorted_points[i - 1 if i else 0])
         if circle and (e := 1 - best) < best:
-            best = e
+            best = abs(e)
         if 0 < i < n:
             d = abs(q - sorted_points[i])
             if circle and (e := 1 - d) < d:
-                d = e
+                d = abs(e)
             if d < best:
                 best = d
         for p in ends:
             d = abs(q - p)
             if (e := 1 - d) < d:
-                d = e
+                d = e if e >= 0 else _across_one(sorted_points, q, -e, p < q)
             if d < best:
                 best = d
         yield best
@@ -107,16 +124,19 @@ def spread_exceeds(space: Space, points, delta) -> bool:
     """``any(metric(space, p, q) > delta for pairs p, q of points)``, bit for bit.
 
     Rounded subtraction is monotone, so once the points are sorted, q - p
-    grows with q.  On the interval the widest pair decides.  On the circle
-    min(d, 1 - d) > delta needs d > delta, and 1 - d only falls as d grows,
-    so for each p only the first q with q - p > delta can pass; that q never
-    moves left as p moves right.  O(m log m) instead of m^2 / 2 metric calls.
+    grows with q.  On the interval the widest pair decides, and on the circle
+    it decides the pairs over 1 apart, at d - 1.  Among the others
+    min(d, 1 - d) > delta needs d > delta, and 1 - d only falls as d grows, so
+    for each p only the first q with q - p > delta can pass; that q never moves
+    left as p moves right.  O(m log m) instead of m^2 / 2 metric calls.
     """
     s = sorted(points)
     if len(s) < 2:
         return False
     if space is not Space.CIRCLE:
         return abs(s[0] - s[-1]) > delta
+    if (d := abs(s[0] - s[-1])) > 1 and d - 1 > delta:
+        return True
     j = 0
     for i, p in enumerate(s):
         j = max(j, i + 1)

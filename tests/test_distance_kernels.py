@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from naads import (
     CircleRotation,
+    DomainError,
     FlowCache,
     HullSample,
     MapFamily,
@@ -31,17 +32,21 @@ from naads import (
     hull_sample,
     metric,
     nearest_distance,
+    periodicity_check,
     proximal_liminf,
 )
 from naads.checkers import _first_far_time, _hausdorff, _scan_times
 from naads.corpus import rotation_family
 from naads.exact import RationalRotationFamily, points_budget
+from naads.flow import DEDUP_EPS
 from naads.space import BOUNDARY_TOL, distances, nearest_distances
 
-# the circle's edge values, and floats just past 1 that the boundary slack admits
+# the circle's edge values, and floats just past 1 or below 0 that the
+# boundary slack admits: two of them may lie more than 1 apart
 edge = st.sampled_from([0.0, 0.5, 1 - 2 ** -53, 2 ** -53, 0.25, 0.75, 1.0])
 past_one = st.floats(min_value=1.0, max_value=1 + BOUNDARY_TOL, exclude_max=True)
-float_pt = st.one_of(edge, past_one, st.floats(min_value=0.0, max_value=1.0))
+below_zero = st.floats(min_value=-BOUNDARY_TOL, max_value=0.0)
+float_pt = st.one_of(edge, past_one, below_zero, st.floats(min_value=0.0, max_value=1.0))
 frac_pt = st.fractions(min_value=0, max_value=1, max_denominator=64)
 any_pt = st.one_of(float_pt, frac_pt)
 
@@ -88,27 +93,68 @@ class TestDistances:
     @example(space=Space.CIRCLE, q=Fraction(1, 2), pts=[0.0, Fraction(1, 4), 0.75])
     @example(space=Space.CIRCLE, q=0.5, pts=[Fraction(1, 2), 0.5])  # equal, both types
     @example(space=Space.CIRCLE, q=Fraction(1, 8), pts=[0.0, Fraction(1, 4), 1.0])
+    # the last point is more than 1 above q, and the one before it is nearest
+    @example(space=Space.CIRCLE, q=0.0, pts=[0.5, 1 - 2 ** -53, 1.000000001])
+    @example(space=Space.CIRCLE, q=1.0000000005, pts=[0.0, 1e-10, 0.5])
     def test_nearest_distance_on_mixed_lists(self, space, q, pts):
         pts = sorted(pts)
         assert repr(nearest_distance(space, pts, q)) == repr(
             _reference_nearest(space, pts, q))
 
 
+class TestNoNegativeCircleDistance:
+    """Coordinates within the boundary slack may lie more than 1 apart."""
+
+    def test_metric_folds_past_one(self):
+        d = metric(Space.CIRCLE, 1.0000000005, 3e-10)
+        assert 0 < d == (1.0000000005 - 3e-10) - 1 < 3e-10
+        assert metric(Space.CIRCLE, Fraction(-1, 10 ** 10), Fraction(1) + Fraction(
+            1, 10 ** 10)) == Fraction(2, 10 ** 10)
+
+    def test_nearest_distance_reads_the_point_past_the_fold(self):
+        # 1e-10 is neither a neighbour of q nor an extreme
+        pts = [0.0, 1e-10, 0.5]
+        got = nearest_distance(Space.CIRCLE, pts, 1.0000000005)
+        assert 0 < got == metric(Space.CIRCLE, 1.0000000005, 1e-10)
+        assert got < metric(Space.CIRCLE, 1.0000000005, 0.0)
+
+    def test_an_exact_point_off_the_circle_is_rejected(self):
+        for run in (
+            lambda x: periodicity_check(corpus("circle_harmonic").family, x, 3, horizon=3),
+            lambda x: hull_sample(corpus("circle_ex4").family, x, 2, 3),
+        ):
+            with pytest.raises(DomainError, match="outside circle coordinates"):
+                run(Fraction(5, 2))
+        hs = hull_sample(corpus("circle_ex4").family, Fraction(1, 2), 2, 3)
+        assert hs.points == [Fraction(1, 2), 0]
+
+
 def _reference_nearest(space, sorted_points, q):
+    """min of metric over nearest_distance's candidates, in its order.
+
+    An extreme more than 1 from q is followed by the last point on its side
+    still more than 1 away and the next one towards q.
+    """
     i = bisect_left(sorted_points, q)
     near = sorted_points[i - 1:i + 1] if i else sorted_points[:1]
     if space is Space.CIRCLE:
-        near += (sorted_points[0], sorted_points[-1])
+        for end in sorted_points[0], sorted_points[-1]:
+            near.append(end)
+            if abs(q - end) > 1:
+                side = [p for p in sorted_points if (p < q) == (end < q)]
+                far = [p for p in side if abs(q - p) > 1]
+                close = [p for p in side if not abs(q - p) > 1]
+                near += far[-1:] + close[:1] if end < q else close[-1:] + far[:1]
     return min([metric(space, q, p) for p in near])
 
 
-def _reference_hull(family, x, order_k, depth, dedup_eps, max_points, tally=None):
+def _reference_hull(family, x, order_k, depth, tally=None):
     """hull_sample with one cache.omega call per word letter and metric calls.
 
     ``tally``, if given, counts the candidates under "candidates" and those
     equal to a point already kept under "repeats".
     """
-    cap = points_budget(max_points, 4096)
+    cap = points_budget(4096)
     cache = FlowCache(family)
     points, index, frontier = [x], [x], [x]
     tally = {} if tally is None else tally
@@ -120,7 +166,7 @@ def _reference_hull(family, x, order_k, depth, dedup_eps, max_points, tally=None
                 z = cache.omega(r, y)
                 tally["candidates"] += 1
                 tally["repeats"] += any(z == p for p in points)
-                if _reference_nearest(family.space, index, z) >= dedup_eps:
+                if _reference_nearest(family.space, index, z) >= DEDUP_EPS:
                     points.append(z)
                     insort(index, z)
                     new.append(z)
@@ -141,11 +187,10 @@ def _points_env(value):
         yield
 
 
-def _check_hull(family, x, order_k, depth, dedup_eps, max_points, env):
+def _check_hull(family, x, order_k, depth, env):
     with _points_env(env):
-        hs = hull_sample(family, x, order_k, depth, dedup_eps, max_points)
-        points, exhausted, stabilized = _reference_hull(
-            family, x, order_k, depth, dedup_eps, max_points)
+        hs = hull_sample(family, x, order_k, depth)
+        points, exhausted, stabilized = _reference_hull(family, x, order_k, depth)
     assert _reprs(hs.points) == _reprs(points)
     assert (hs.budget_exhausted, hs.stabilized) == (exhausted, stabilized)
 
@@ -153,9 +198,7 @@ def _check_hull(family, x, order_k, depth, dedup_eps, max_points, env):
 hull_args = dict(
     order_k=st.integers(min_value=1, max_value=4),
     depth=st.integers(min_value=1, max_value=4),
-    dedup_eps=st.sampled_from([1e-12, 1e-9, 1e-3, 0.05]),
-    max_points=st.sampled_from([None, 3, 40]),
-    env=st.sampled_from([None, "1", "5", "60"]),
+    env=st.sampled_from([None, "1", "3", "5", "40", "60"]),
 )
 
 
@@ -209,8 +252,9 @@ def _rule_less(angles, r=1, commutative=True, horizon=100_000):
     return block_family(family, r)
 
 
-# x values at and past the ends of the circle's coordinates, and Fractions,
-# some outside [0, 1): a Fraction x moves by exact steps wherever it starts
+# x values at and past the ends of the circle's coordinates, and Fractions;
+# a point outside [-BOUNDARY_TOL, 1 + BOUNDARY_TOL), exact or float, is rejected
+# by its first window read
 edge_x = st.one_of(
     st.sampled_from([-0.0, 0.0, 1.0, 1 - 2 ** -53, 0.5, -5e-10]), past_one,
     st.floats(min_value=0.0, max_value=1.0), frac_pt,
@@ -238,24 +282,17 @@ class TestHullWindowMatchesOmegaLoop:
         **hull_args,
     )
     # exact repeats: a period-2 cycle returns to x and to its first image, as
-    # floats and as Fractions; a Fraction x meets float angles; and at the
-    # least dedup_eps only an exact repeat is rejected
-    @example(angles=[0.3, -0.3], x=0.1, order_k=3, depth=4, dedup_eps=1e-9,
-             max_points=None, env=None)
+    # floats and as Fractions; a Fraction x meets float angles
+    @example(angles=[0.3, -0.3], x=0.1, order_k=3, depth=4, env=None)
     @example(angles=[Fraction(1, 3), Fraction(-1, 3)], x=Fraction(1, 5), order_k=3,
-             depth=4, dedup_eps=1e-9, max_points=None, env=None)
-    @example(angles=[0.5, 0.25], x=Fraction(1, 2), order_k=2, depth=3, dedup_eps=1e-9,
-             max_points=None, env=None)
-    @example(angles=[0.3, -0.3], x=0.1, order_k=2, depth=3, dedup_eps=5e-324,
-             max_points=None, env=None)
-    @example(angles=[0.1, 0.2, 0.3], x=0.0, order_k=2, depth=3, dedup_eps=5e-324,
-             max_points=40, env=None)
+             depth=4, env=None)
+    @example(angles=[0.5, 0.25], x=Fraction(1, 2), order_k=2, depth=3, env=None)
+    @example(angles=[0.1, 0.2, 0.3], x=0.0, order_k=2, depth=3, env="40")
     # a NaN angle makes NaN candidates: no key finds their neighbours, and the
     # scan over every kept point drops them, as nearest_distance's NaN did
-    @example(angles=[float("nan")], x=0.3, order_k=1, depth=2, dedup_eps=1e-9,
-             max_points=None, env=None)
-    def test_rotation_cycles(self, angles, x, order_k, depth, dedup_eps, max_points, env):
-        _check_hull(_cycle(angles), x, order_k, depth, dedup_eps, max_points, env)
+    @example(angles=[float("nan")], x=0.3, order_k=1, depth=2, env=None)
+    def test_rotation_cycles(self, angles, x, order_k, depth, env):
+        _check_hull(_cycle(angles), x, order_k, depth, env)
 
     # an exact repeat never reaches the dedup kernel: the points themselves count
     # their bucket keys (//) and record each distance they enter (-)
@@ -268,21 +305,18 @@ class TestHullWindowMatchesOmegaLoop:
         x=st.one_of(st.sampled_from([0.0, 0.1, 0.5]), frac_pt.map(lambda f: f % 1)),
         order_k=st.integers(min_value=1, max_value=4),
         depth=st.integers(min_value=1, max_value=4),
-        dedup_eps=st.sampled_from([5e-324, 1e-9, 0.05]),
     )
-    @example(angles=[0.3, -0.3], x=0.1, order_k=3, depth=4, dedup_eps=1e-9)
-    @example(angles=[Fraction(1, 3), Fraction(-1, 3)], x=Fraction(1, 5), order_k=3,
-             depth=4, dedup_eps=1e-9)
-    def test_exact_repeats_skip_the_kernel(self, angles, x, order_k, depth, dedup_eps):
+    @example(angles=[0.3, -0.3], x=0.1, order_k=3, depth=4)
+    @example(angles=[Fraction(1, 3), Fraction(-1, 3)], x=Fraction(1, 5), order_k=3, depth=4)
+    def test_exact_repeats_skip_the_kernel(self, angles, x, order_k, depth):
         tally, log = {}, {"keys": 0, "pairs": []}
         _Counted.log = log
         with _points_env(None):
-            points, _, _ = _reference_hull(_cycle(angles), x, order_k, depth, dedup_eps,
-                                           None, tally)
+            points, _, _ = _reference_hull(_cycle(angles), x, order_k, depth, tally)
             counted = MapFamily(Space.CIRCLE,
                                 lambda n: _CountedRotation(angles[(n - 1) % len(angles)]),
                                 "counted", declared_commutative=True)
-            hs = hull_sample(counted, _counted(x), order_k, depth, dedup_eps)
+            hs = hull_sample(counted, _counted(x), order_k, depth)
         assert hs.points == points
         # one key for x, then one per candidate that is not an exact repeat
         assert log["keys"] == 1 + tally["candidates"] - tally["repeats"]
@@ -300,27 +334,27 @@ class TestHullWindowMatchesOmegaLoop:
         x=edge_x,
         order_k=st.integers(min_value=1, max_value=4),
         depth=st.integers(min_value=1, max_value=4),
-        dedup_eps=st.sampled_from([5e-324, 1e-9, 0.3, 2.0]),
-        max_points=st.sampled_from([None, 3, 40]),
-        env=st.sampled_from([None, "1", "60"]),
+        env=st.sampled_from([None, "1", "3", "40", "60"]),
     )
     @example(angles=[Fraction(1, 3)], r=1, commutative=True, x=1 - 2 ** -53, order_k=2,
-             depth=3, dedup_eps=5e-324, max_points=None, env=None)
+             depth=3, env=None)
     @example(angles=[Fraction(1, 7), Fraction(-1, 7)], r=1, commutative=True,
-             x=1.0000000005, order_k=3, depth=3, dedup_eps=5e-324, max_points=None,
-             env=None)
+             x=1.0000000005, order_k=3, depth=3, env=None)
     @example(angles=[Fraction(1, 7), Fraction(1, 5)], r=2, commutative=False, x=-0.0,
-             order_k=2, depth=3, dedup_eps=1e-9, max_points=None, env=None)
+             order_k=2, depth=3, env=None)
+    # x = 5/2 is off the circle's coordinates: both reads reject it
     @example(angles=[Fraction(1, 4)], r=1, commutative=True, x=Fraction(5, 2), order_k=2,
-             depth=3, dedup_eps=1e-9, max_points=None, env=None)
-    def test_rule_less_families(self, angles, r, commutative, x, order_k, depth, dedup_eps,
-                                max_points, env):
+             depth=3, env=None)
+    def test_rule_less_families(self, angles, r, commutative, x, order_k, depth, env):
         family = _rule_less(angles, r, commutative)
         with _points_env(env):
-            hs = hull_sample(family, x, order_k, depth, dedup_eps, max_points)
-            points, exhausted, stabilized = _reference_hull(
-                _rule_less(angles, r, commutative), x, order_k, depth, dedup_eps,
-                max_points)
+            hs = _outcome(hull_sample, family, x, order_k, depth)
+            want = _outcome(_reference_hull, _rule_less(angles, r, commutative), x,
+                            order_k, depth)
+        if not -BOUNDARY_TOL <= x < 1 + BOUNDARY_TOL:
+            assert hs == want and hs.startswith("DomainError(")
+            return
+        points, exhausted, stabilized = want
         assert _reprs(hs.points) == _reprs(points)
         assert (hs.budget_exhausted, hs.stabilized) == (exhausted, stabilized)
         # the batch stores no trajectory; a lazy read stores the ones it reads
@@ -329,13 +363,12 @@ class TestHullWindowMatchesOmegaLoop:
 
     # a circle family whose maps reach 1.0, which is 0.0: its key wraps to 0's
     @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 1 - 2 ** -53])
-    @pytest.mark.parametrize("dedup_eps", [5e-324, 1e-9, 0.3])
-    def test_circle_points_past_one(self, x, dedup_eps):
+    def test_circle_points_past_one(self, x):
         def flip():
             return MapFamily(Space.CIRCLE, lambda n: Reflection(), "flip",
                              declared_isometric=True)
-        hs = hull_sample(flip(), x, 2, 3, dedup_eps)
-        points, exhausted, stabilized = _reference_hull(flip(), x, 2, 3, dedup_eps, None)
+        hs = hull_sample(flip(), x, 2, 3)
+        points, exhausted, stabilized = _reference_hull(flip(), x, 2, 3)
         assert _reprs(hs.points) == _reprs(points)
         assert (hs.budget_exhausted, hs.stabilized) == (exhausted, stabilized)
 
@@ -352,7 +385,7 @@ class TestHullWindowMatchesOmegaLoop:
         lambda: _cycle([0.25, float("nan")]),
     ])
     @pytest.mark.parametrize("x", [0.3, Fraction(1, 3), 1.5, -0.5, 1 + 2e-9, float("inf"),
-                                   float("nan")])
+                                   float("nan"), Fraction(5, 2)])
     def test_errors_match_the_first_window(self, make, x):
         want = _outcome(FlowCache(make()).window, x, 4)
         got = _outcome(hull_sample, make(), x, 4, 2)
@@ -363,9 +396,9 @@ class TestHullWindowMatchesOmegaLoop:
            x=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                        st.floats(min_value=0.0, max_value=1.0)),
            **hull_args)
-    def test_interval_families(self, name, x, order_k, depth, dedup_eps, max_points, env):
+    def test_interval_families(self, name, x, order_k, depth, env):
         # example1 reads periodic backward windows, example2 commutative ones
-        _check_hull(corpus(name).family, x, order_k, depth, dedup_eps, max_points, env)
+        _check_hull(corpus(name).family, x, order_k, depth, env)
 
 
 def _single_type(*lists):

@@ -199,15 +199,14 @@ class TestHullEnumeration:
         angles=cycle_angles,
         order_k=st.integers(min_value=1, max_value=4),
         depth=st.integers(min_value=1, max_value=5),
-        max_size=st.sampled_from([None, 1, 2, 7, 40]),
-        env=points_env,
+        env=st.sampled_from([None, "1", "2", "4", "7", "25", "40"]),
     )
-    def test_matches_fraction_search(self, angles, order_k, depth, max_size, env):
+    def test_matches_fraction_search(self, angles, order_k, depth, env):
         fam = _cycle(angles)
         with _points_env(env):
-            cap = min(max_size or 65536, int(env or 65536))
-            hull = exact_hull_displacements(fam, order_k, depth, max_size)
-        points, exhausted, stabilized = _reference_hull(fam, order_k, depth, cap)
+            hull = exact_hull_displacements(fam, order_k, depth)
+        points, exhausted, stabilized = _reference_hull(fam, order_k, depth,
+                                                        int(env or 65536))
         assert [Fraction(n, hull.denominator) for n in hull.numerators] == points
         assert [a.value for a in hull.angles] == points
         assert (hull.budget_exhausted, hull.stabilized) == (exhausted, stabilized)
@@ -221,14 +220,16 @@ class TestHullEnumeration:
     def test_budget_error_at_the_same_sum(self, depth, cap, raises):
         # every generator is inside the budget; their lcm and the sum 1/P + 1/Q are not
         fam = _cycle([Fraction(1, P), Fraction(-1, P), Fraction(1, Q)])
+        env = None if cap is None else str(cap)
         if raises:
             with pytest.raises(BudgetError, match="denominator exceeds"):
                 _reference_hull(fam, 3, depth, cap or 65536)
-            with pytest.raises(BudgetError, match="denominator exceeds"):
-                exact_hull_displacements(fam, 3, depth, cap)
+            with pytest.raises(BudgetError, match="denominator exceeds"), _points_env(env):
+                exact_hull_displacements(fam, 3, depth)
             return
         points, exhausted, stabilized = _reference_hull(fam, 3, depth, cap or 65536)
-        hull = exact_hull_displacements(fam, 3, depth, cap)
+        with _points_env(env):
+            hull = exact_hull_displacements(fam, 3, depth)
         assert [a.value for a in hull.angles] == points
         assert (hull.budget_exhausted, hull.stabilized) == (exhausted, stabilized)
 

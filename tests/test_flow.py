@@ -31,6 +31,7 @@ from naads import (
     omega,
     r_transitivity_check,
 )
+from naads.flow import DEDUP_EPS
 
 
 def _noncommuting() -> MapFamily:
@@ -324,10 +325,10 @@ class TestHullSample:
 
     def test_points_are_separated(self):
         fam = corpus("circle_ex4").family
-        hs = hull_sample(fam, 0.3, order_k=4, depth=4, dedup_eps=1e-9)
+        hs = hull_sample(fam, 0.3, order_k=4, depth=4)
         for i, p in enumerate(hs.points):
             for q in hs.points[i + 1:]:
-                assert metric(fam.space, p, q) >= 1e-9
+                assert metric(fam.space, p, q) >= DEDUP_EPS == 1e-9
 
     def test_fixed_point_hull_stabilizes(self):
         fam = corpus("interval_square_sqrt").family
@@ -356,15 +357,7 @@ class TestHullSample:
         with pytest.raises(ValueError):
             hull_sample(fam, 0.5, order_k=0, depth=1)
         with pytest.raises(ValueError):
-            hull_sample(fam, 0.5, order_k=1, depth=1, dedup_eps=0.0)
-
-    # a NaN dedup_eps compared false with every distance, an infinite one kept
-    # nothing: both returned {x} as a stabilized hull
-    @pytest.mark.parametrize("dedup_eps", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_dedup_eps_rejected(self, dedup_eps):
-        fam = corpus("circle_harmonic").family
-        with pytest.raises(ValueError, match="dedup_eps"):
-            hull_sample(fam, 0.3, order_k=2, depth=2, dedup_eps=dedup_eps)
+            hull_sample(fam, 0.5, order_k=1, depth=0)
 
 
 class TestDeclarations:

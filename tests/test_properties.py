@@ -1,7 +1,9 @@
 """Property-based invariants over random inputs (hypothesis)."""
 
 import math
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -39,6 +41,7 @@ from naads import (
     uniform_ap_report,
 )
 from naads.checkers import _ball_samples, _nearby_pairs, _records_call, _scan_times
+from naads.flow import DEDUP_EPS
 from naads.space import BOUNDARY_TOL, diameter, spread_exceeds, uniform_grid
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -99,10 +102,10 @@ def _reference_rotate(angle, x, inverse=False):
     amount, amount_float = angle, float(angle)
     if inverse:
         amount, amount_float = -amount, -amount_float
-    if isinstance(x, Fraction) and isinstance(angle, Fraction):
-        return (x + amount) % 1
     if not (-BOUNDARY_TOL <= x < 1 + BOUNDARY_TOL):
         raise DomainError(f"point {x!r} outside circle coordinates")
+    if isinstance(x, Fraction) and isinstance(angle, Fraction):
+        return (x + amount) % 1
     y = (x + amount_float) % 1.0
     if y >= 1.0:
         y -= 1.0
@@ -140,7 +143,7 @@ class TestRotationKernel:
     @example(angle=0.25, x=math.nextafter(0.25, 0))
     @example(angle=Fraction(1, 4), x=math.nextafter(0.25, 0))
     @example(angle=0.75, x=math.nextafter(0.25, 0))
-    @example(angle=Fraction(1, 3), x=Fraction(5, 2))  # exact path: no range check
+    @example(angle=Fraction(1, 3), x=Fraction(5, 2))  # an exact point is range-checked too
     def test_matches_general_path(self, angle, x):
         h = CircleRotation(angle)
         ref = _reference_angle(angle)
@@ -150,7 +153,9 @@ class TestRotationKernel:
 
     @given(angle=kernel_angle, x=st.one_of(
         st.floats(max_value=-2 * BOUNDARY_TOL), st.floats(min_value=1 + BOUNDARY_TOL),
-        st.just(math.nan), st.integers(min_value=2), st.integers(max_value=-1)))
+        st.just(math.nan), st.integers(min_value=2), st.integers(max_value=-1),
+        st.fractions(min_value=1 + BOUNDARY_TOL),
+        st.fractions(max_value=-2 * BOUNDARY_TOL)))
     def test_out_of_range_points_raise(self, angle, x):
         h = CircleRotation(angle)
         with pytest.raises(DomainError):
@@ -198,11 +203,11 @@ class TestFlowInvariants:
     @given(name=corpus_name, x=interior)
     def test_hull_contains_base_and_respects_dedup(self, name, x):
         fam = corpus(name).family
-        hs = hull_sample(fam, x, order_k=2, depth=2, dedup_eps=1e-6)
+        hs = hull_sample(fam, x, order_k=2, depth=2)
         assert hs.points[0] == x
         for i, p in enumerate(hs.points):
             for q in hs.points[i + 1:]:
-                assert metric(fam.space, p, q) >= 1e-6
+                assert metric(fam.space, p, q) >= DEDUP_EPS
 
 
 class TestWitnessReplay:
@@ -294,6 +299,20 @@ class TestSpreadExceeds:
         pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
         assert spread_exceeds(space, pts, delta) == any(
             metric(space, p, q) > delta for p, q in pairs)
+
+    # the boundary slack admits pairs more than 1 apart, at distance d - 1
+    @given(
+        pts=st.lists(st.one_of(
+            st.floats(min_value=-BOUNDARY_TOL, max_value=1 + BOUNDARY_TOL, exclude_max=True),
+            st.sampled_from([-5e-10, -BOUNDARY_TOL, 1 + 5e-10, 1e-10, 0.0, 1.0])),
+            max_size=10),
+        delta=st.sampled_from([0.0, 1e-10, 5e-10, 8e-10, 1e-9, 0.25]),
+    )
+    @example(pts=[-5e-10, 1e-10, 1 + 5e-10], delta=8e-10)  # only the widest pair
+    def test_slack_points_equal_all_pairs(self, pts, delta):
+        pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
+        assert spread_exceeds(Space.CIRCLE, pts, delta) == any(
+            metric(Space.CIRCLE, p, q) > delta for p, q in pairs)
 
 
 def _reference_equicontinuity(family, eps, n_max, pair_grid):
@@ -510,7 +529,7 @@ class TestLazyScansMatchEagerScans:
         assert got.render() == want.render()
 
 
-def _reference_hull(family, x, order_k, depth, dedup_eps, cap):
+def _reference_hull(family, x, order_k, depth, cap):
     """hull_sample's rule written as the plain all-points scan."""
     cache = FlowCache(family)
     points, frontier = [x], [x]
@@ -519,7 +538,7 @@ def _reference_hull(family, x, order_k, depth, dedup_eps, cap):
         for y in frontier:
             for r in range(-order_k, order_k + 1):
                 z = cache.omega(r, y)
-                if all(metric(family.space, z, p) >= dedup_eps for p in points):
+                if all(metric(family.space, z, p) >= DEDUP_EPS for p in points):
                     points.append(z)
                     new.append(z)
                     if len(points) >= cap:
@@ -543,19 +562,18 @@ class TestHullDedupMatchesScan:
         x=circle_pt,
         order_k=st.integers(min_value=1, max_value=4),
         depth=st.integers(min_value=1, max_value=4),
-        dedup_eps=st.sampled_from([1e-12, 1e-9, 1e-3, 0.05, 0.2]),
         cap=st.sampled_from([5, 60, 4096]),
     )
-    def test_rotation_cycles(self, angles, x, order_k, depth, dedup_eps, cap):
+    def test_rotation_cycles(self, angles, x, order_k, depth, cap):
         fam = MapFamily(
             Space.CIRCLE,
             lambda n: CircleRotation(angles[(n - 1) % len(angles)]),
             "cycle",
             declared_commutative=True,
         )
-        hs = hull_sample(fam, x, order_k, depth, dedup_eps, max_points=cap)
-        points, exhausted, stabilized = _reference_hull(
-            fam, x, order_k, depth, dedup_eps, cap)
+        with mock.patch.dict(os.environ, {"NAADS_BUDGET_POINTS": str(cap)}):
+            hs = hull_sample(fam, x, order_k, depth)
+        points, exhausted, stabilized = _reference_hull(fam, x, order_k, depth, cap)
         assert hs.points == points
         assert [type(p) for p in hs.points] == [type(p) for p in points]
         assert (hs.budget_exhausted, hs.stabilized) == (exhausted, stabilized)

@@ -1,13 +1,15 @@
 """The drift bound of rotation windows, and the checkers that skip windows by it.
 
-Every float window entry of a rotation family lies within
-``flow.rotation_drift`` of its exact rotation.  ``equicontinuity_modulus``,
-``sensitivity_at_point`` (and so ``dichotomy_scan``) and ``uniform_ap_report``
-decide from that bound, without reading the windows, what a scan of them
-would find.  Each must render the report that the scan renders on the same
-steps built as a rule family of ``CircleRotation`` maps, which has no exact
-view and so always scans; near-ties within the bound must fall back to the
-scan.
+Float window entry n of a rotation family lies within |n| * 2**-51 of its
+exact rotation, and ``flow.rotation_drift`` turns that into a slack on
+distances.  ``equicontinuity_modulus``, ``sensitivity_at_point`` (and so
+``dichotomy_scan``) and ``uniform_ap_report`` decide from that slack, without
+reading the windows, what a scan of them would find.  Each must render the
+report that the scan renders on the same steps built as a rule family of
+``CircleRotation`` maps, which has no exact view and so always scans;
+near-ties within the bound must fall back to the scan.  One gate,
+``MapFamily.rides_turns``, says which points run the inline loop; hull
+enumeration's batch and the drift slack both ask it.
 """
 
 import math
@@ -37,7 +39,8 @@ from naads import (
     uniform_ap_report,
 )
 from naads.corpus import rotation_family
-from naads.flow import rotation_drift
+from naads.flow import _windows, rotation_drift
+from naads.space import BOUNDARY_TOL
 
 
 @st.composite
@@ -99,31 +102,78 @@ class TestDriftBound:
            n=st.integers(min_value=0, max_value=400), x=_POINT)
     @example(steps=[(1, 3)], r=7, n=400, x=0.9999999999999999)
     def test_window_entries_lie_within_the_drift(self, steps, r, n, x):
+        # the specification's bound: |t| * 2**-51 at time t, a block per turn
         fam = _inline(steps)
         blocks = block_family(fam, r)
-        bound = rotation_drift(blocks, n)
         window = FlowCache(blocks).window(x, n)
         for t, y in zip(range(-n, n + 1), window):
             want = (Fraction(x) + fam.exact.displacement(t * r)) % 1
-            assert _circle_distance(Fraction(y), want) <= bound, t
+            assert _circle_distance(Fraction(y), want) <= abs(t) * 2 ** -51, t
 
     def test_one_bound_per_turn(self):
         fam = _inline([(1, 3), (2, 5)])
-        assert rotation_drift(fam, 10) == 10 * 2 ** -51
+        slack = 2 * (2 * 10 * 2 ** -51 + 2 ** -50)  # twice the drift, plus rounding, doubled
+        assert rotation_drift(fam, [0.0, 0.5], 10) == slack
         # a block family turns once per block, by its exact block step
-        assert rotation_drift(block_family(fam, 3), 10) == 10 * 2 ** -51
+        assert rotation_drift(block_family(fam, 3), [0.5], 10) == slack
         ref = _as_rule(fam)
-        assert rotation_drift(ref, 10) is None
-        assert rotation_drift(block_family(ref, 2), 10) is None
+        assert rotation_drift(ref, [0.5], 10) is None
+        assert rotation_drift(block_family(ref, 2), [0.5], 10) is None
+        # the bound starts from floats in [0, 1)
+        for p in 1.0, -5e-10, 1 + 5e-10, Fraction(1, 2), 0:
+            assert rotation_drift(fam, [0.5, p], 10) is None
+        assert rotation_drift(corpus("identity").family, [0.5], 10) is None
 
     def test_the_budget_errors_of_a_full_read(self):
         fam = _inline([(1, 3)])
         with pytest.raises(ValueError, match="window size must be >= 0"):
-            rotation_drift(fam, -1)
+            rotation_drift(fam, [0.5], -1)
         with pytest.raises(BudgetError, match="time -100001 exceeds horizon 100000"):
-            rotation_drift(fam, 100_001)
+            rotation_drift(fam, [0.5], 100_001)
         with pytest.raises(ConstructionError, match="f_5 differs from f_4"):
-            rotation_drift(_inline(_BROKEN, declared_period=1), 8)
+            rotation_drift(_inline(_BROKEN, declared_period=1), [0.5], 8)
+        with pytest.raises(ConstructionError, match="f_5 differs from f_4"):
+            _inline(_BROKEN, declared_period=1).rides_turns([0.5], 8)
+
+
+# every kind of point: floats in [0, 1) and at its edges, within the boundary
+# slack, ints and Fractions
+_ANY_POINT = st.one_of(
+    _POINT, st.sampled_from([-0.0, 1.0, 1 + 5e-10, -5e-10]),
+    st.integers(min_value=0, max_value=1),
+    st.fractions(min_value=0, max_value=1, max_denominator=12))
+_KINDS = {
+    "rule-less": lambda steps: _inline(steps),
+    "rule": lambda steps: _as_rule(_inline(steps)),
+    "blocks": lambda steps: block_family(_inline(steps), 2),
+    "rule blocks": lambda steps: block_family(_as_rule(_inline(steps)), 2),
+}
+
+
+class TestOneGate:
+    """rides_turns, _windows' batch and rotation_drift answer from one test."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=_CYCLE, kind=st.sampled_from(sorted(_KINDS)),
+           points=st.lists(_ANY_POINT, min_size=1, max_size=4),
+           n=st.integers(min_value=0, max_value=12))
+    def test_gate_batch_and_drift_agree(self, steps, kind, points, n):
+        make = _KINDS[kind]
+        fam = make(steps)
+        rides = fam.rides_turns(points, n)
+        floats = all(type(p) is float for p in points)
+        assert rides == (fam.rule is None and floats
+                         and all(-BOUNDARY_TOL <= p < 1 + BOUNDARY_TOL for p in points))
+        # every family here is declared commutative: the batch, which stores no
+        # trajectory, runs exactly where the gate passes, and reads what
+        # FlowCache.window reads point by point
+        batched = make(steps)
+        rows = [[repr(y) for y in w] for w in _windows(batched, points, n)]
+        assert (batched._traj == {}) == rides
+        lazy = FlowCache(make(steps))
+        assert rows == [[repr(y) for y in lazy.window(p, n)] for p in points]
+        drift = rotation_drift(fam, points, n)
+        assert (drift is not None) == (rides and all(0.0 <= p < 1.0 for p in points))
 
 
 class TestSameReports:

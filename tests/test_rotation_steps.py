@@ -35,7 +35,9 @@ from naads import (
     r_transitivity_check,
 )
 from naads.cli import _inline_family
-from naads.corpus import ROTATION_NAMES
+
+# the corpus families that are rotation families with no rule
+ROTATION_NAMES = ("circle_settling", "circle_ex4", "circle_harmonic")
 
 
 def _reference(angle_of) -> MapFamily:
