@@ -1,8 +1,9 @@
 """Finite-scale property checkers for non-autonomous flows.
 
 Every checker is a pure function of (family, parameters) returning a
-PropertyReport (or a small result record); a report's parameters are the
-record of its call (see _records_call).  Infinite-time notions can never
+PropertyReport (or a small result record); its parameters are checked against
+_RULES before it runs, and a report's parameters are the record of its call
+(see _records_call).  Infinite-time notions can never
 be Certified from finite data except through exact rotation structure, so
 most verdicts are EvidenceFor / EvidenceAgainst at the given budget; the
 witness in a report always re-verifies through the flow (see replay_witness).
@@ -20,7 +21,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 from .errors import DomainError, PreconditionError
 from .exact import exact_hull_displacements, exact_periodicity
@@ -53,39 +54,66 @@ SHORT_READ = 16
 PUBLIC_NAME = {"n_max": "N"}
 
 
+def _positive(v):
+    return 0 < v < math.inf
+
+
+def _at_least(low):
+    return f"must be >= {low}", lambda v: v >= low
+
+
+# The domain of each checker parameter, by public name: (rule, test).  No
+# test holds on nan.  The base points x and y have no rule here: a nan one is
+# a point of no space, and raises DomainError instead.
+_RULES = {
+    "eps": ("must be positive and finite", _positive),
+    "delta": ("must be positive and finite", lambda v: v is None or _positive(v)),
+    "radii": ("must be positive and finite", lambda vs: all(map(_positive, vs))),
+    **dict.fromkeys(("tol", "N", "horizon"), _at_least(0)),
+    **dict.fromkeys(("r", "order_cap", "order_k", "depth"), _at_least(1)),
+    **dict.fromkeys(("grid", "grid_size", "pair_grid", "samples"), _at_least(2)),
+}
+
+
 def _records_call(checker):
-    """Fill the returned report's ``parameters`` with the call's record.
+    """Check each call's parameters against ``_RULES``, then record them.
 
     The record holds every parameter of ``checker``, passed or defaulted,
-    under its public name, with ``family`` as the family's name.  A value the
-    checker resolves itself (a default ``delta``) it puts in the report, and
-    that value is kept.  The signature is read once, here, not per call.
+    under its public name.  Before the checker runs, so before any flow work,
+    each value must keep its rule, else ValueError("<name> <rule>"), and a nan
+    ``x`` or ``y`` raises DomainError.  A returned PropertyReport gets the
+    record as its ``parameters``, with ``family`` as the family's name; a value
+    the checker resolves itself (a default ``delta``) it puts in the report,
+    and that value is kept.  The signature is read once, here, not per call.
     """
     params = inspect.signature(checker).parameters.values()
     public = {p.name: PUBLIC_NAME.get(p.name, p.name) for p in params}
     positional = tuple(public.values())[1:]
     defaults = {public[p.name]: p.default for p in params if p.default is not p.empty}
+    rules = [(name, *_RULES[name]) for name in positional if name in _RULES]
+    points = [name for name in positional if name in ("x", "y")]
 
     @functools.wraps(checker)
     def call(family, *args, **kwargs):
+        record = {**defaults, **dict(zip(positional, args)),
+                  **{public.get(k, k): v for k, v in kwargs.items()}}
+        for name, rule, holds in rules:
+            if name in record and not holds(record[name]):
+                raise ValueError(f"{name} {rule}")
+        for p in map(record.get, points):
+            if p != p:
+                raise DomainError(f"base point {p!r} is not a number")
         rep = checker(family, *args, **kwargs)
-        rep.parameters = {
-            **defaults,
-            **dict(zip(positional, args)),
-            **{public[k]: v for k, v in kwargs.items()},
-            "family": family.name,
-            **rep.parameters,
-        }
+        if isinstance(rep, PropertyReport):
+            rep.parameters = {**record, "family": family.name, **rep.parameters}
         return rep
 
     return call
 
 
-def _require_number(*points):
-    """Reject a nan point: no map takes it, and it is near nothing, not even itself."""
-    for p in points:
-        if p != p:
-            raise DomainError(f"base point {p!r} is not a number")
+def _reads(n: int) -> list:
+    """The window sizes a scan through n reads in turn: min(n, SHORT_READ), then n."""
+    return sorted({min(n, SHORT_READ), n})
 
 
 def _scan_times(n_max: int):
@@ -109,13 +137,6 @@ def periodicity_check(
     EvidenceFor (max deviation <= tol at all |j| <= horizon) or Refuted with
     the smallest failing time.
     """
-    if r < 1:
-        raise ValueError("period must be >= 1")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    if not tol >= 0:  # also rejects a nan tolerance
-        raise ValueError("tol must be >= 0")
-    _require_number(x)
     cache = FlowCache(family)
 
     if family.exact is not None:
@@ -159,11 +180,11 @@ def periodicity_check(
     )
 
 
+@_records_call
 def return_time_set(family: MapFamily, x, eps, n_max: int) -> ReturnTimeSet:
     """Times |n| <= n_max with d(omega_n(x), x) < eps, plus gap statistics."""
-    if not eps > 0 or n_max < 1:  # also rejects eps = nan
-        raise ValueError("need eps > 0 and window >= 1")
-    _require_number(x)
+    if n_max < 1:
+        raise ValueError("N must be >= 1")
     row = distances(family.space, FlowCache(family).window(x, n_max), repeat(x))
     times = [n for n, d in zip(range(-n_max, n_max + 1), row) if d < eps]
     internal, left, right = _gaps(times, n_max)
@@ -216,8 +237,6 @@ def uniform_ap_report(
     slack of eps (flow.rotation_drift), every grid point has its return times and
     that one window decides the report.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     worst_m = 0
     grid = uniform_grid(family.space, grid_size)
     for g in grid:
@@ -255,33 +274,20 @@ def _nearby_pairs(space: Space, grid_pts, delta):
     return pairs
 
 
-def _first_far_time(family: MapFamily, a, b, w: int, eps, done: int = -1):
+def _first_far_time(family: MapFamily, a, b, w: int, eps):
     """First (n, d) in _scan_times(w) order with d(omega_n a, omega_n b) >= eps.
 
-    None if the pair stays eps-close for |n| <= w.  Times with |n| <= done
-    are known to be close and are skipped.  The pair's windows grow by
-    doubling, so a pair that separates at time n costs flow values and
-    distances up to about 2|n|, and one that stays close costs a few window
-    slices and distance rows instead of two FlowCache.omega calls per time.
+    None if the pair stays eps-close for |n| <= w.  The pair's windows are
+    read at each of _reads(w), one distance row per read, so a pair that
+    separates early costs short windows only.
     """
     space, window = family.space, FlowCache(family).window
-    m = min(w, max(8, 2 * done))
-    while True:
-        wa, wb = window(a, m), window(b, m)
-        lo, end = m + done + 1, m - max(done, 0)  # index i holds time i - m
-        up = distances(space, wa[lo:], wb[lo:])  # times done + 1..m
-        down = distances(space, wa[:end], wb[:end])  # times -m..-max(done + 1, 1)
-        for k in range(done + 1, m + 1):
-            d = up[k - done - 1]
-            if d >= eps:
+    for m in _reads(w):
+        row = distances(space, window(a, m), window(b, m))  # index i holds time i - m
+        for k in _scan_times(m):
+            if (d := row[k + m]) >= eps:
                 return k, d
-            if k:
-                d = down[m - k]
-                if d >= eps:
-                    return -k, d
-        if m == w:
-            return None
-        done, m = m, min(w, 2 * m)
+    return None
 
 
 @_records_call
@@ -293,12 +299,12 @@ def equicontinuity_modulus(
     Candidates are eps, eps/2, ..., eps/2^20; pairs sit at distance
     0.75*delta around a uniform grid.  The modulus is recomputed at windows
     N, 2N, 4N: a strictly shrinking trend (or no passing candidate) is
-    evidence against equicontinuity.  On a rotation, when every pair of the
+    evidence against equicontinuity.  Each pair's first far time is read once,
+    at 4N: the scan orders are prefixes of each other, so the pair fails
+    window w iff that time has |n| <= w.  On a rotation, when every pair of the
     first candidate is closer than eps by the drift slack (flow.rotation_drift),
     that candidate passes at every window with no window read.
     """
-    if not 0 < eps < math.inf:  # also rejects eps = nan
-        raise ValueError("eps must be positive and finite")
     check_window(family, 4 * n_max, 4 * n_max)  # no window may reach past the family
     space = family.space
     grid_pts = uniform_grid(space, pair_grid)
@@ -307,26 +313,22 @@ def equicontinuity_modulus(
 
     deltas = []
     witness = None
-    # (a, b) -> (window scanned, first far time or None); windows only grow
-    # and scan orders are prefixes of each other, so each time is read once
-    scanned = {}
+    far = {}  # (a, b) -> its first far (n, d) through 4N, or None
     # the turns are read only where the first candidate's pairs are eps-close at time 0
     pairs = _nearby_pairs(space, grid_pts, candidates[0])
     d0 = max((metric(space, a, b) for a, b in pairs), default=eps)
     slack = rotation_drift(family, chain(*pairs), windows[-1]) if d0 < eps else None
     if slack is not None and d0 < eps - slack:
-        scanned = dict.fromkeys(pairs, (windows[-1], None))
+        far = dict.fromkeys(pairs)
     for w in windows:
         found = 0.0
         for delta in candidates:
             fail = None
-            for a, b in _nearby_pairs(space, grid_pts, delta):
-                done, far = scanned.get((a, b), (-1, None))
-                if far is None and done < w:
-                    far = _first_far_time(family, a, b, w, eps, done)
-                    scanned[(a, b)] = (w, far)
-                if far is not None:
-                    fail = (a, b, *far)
+            for pair in _nearby_pairs(space, grid_pts, delta):
+                if pair not in far:
+                    far[pair] = _first_far_time(family, *pair, windows[-1], eps)
+                if far[pair] is not None and abs(far[pair][0]) <= w:
+                    fail = (*pair, *far[pair])
                     break
             if fail is None:
                 found = delta
@@ -345,9 +347,9 @@ def equicontinuity_modulus(
     return PropertyReport("equicontinuity", verdict, witnesses=witnesses, details=details)
 
 
+@_records_call
 def proximal_liminf(family: MapFamily, x, y, n_max: int) -> ProximalExtremes:
     """Min/max pair distance with witnessing times over |n| <= n_max."""
-    _require_number(x, y)
     cache = FlowCache(family)
     row = distances(family.space, cache.window(x, n_max), cache.window(y, n_max))
     best = worst = row[n_max]  # time 0
@@ -403,13 +405,13 @@ def _ball_samples(space: Space, x, radius, count: int):
     return pts
 
 
-def _first_expansion(space: Space, pts, wins, n: int, delta, done: int = -1):
+def _first_expansion(space: Space, pts, wins, n: int, delta):
     """First (a, b, k, d), |k| <= n, with d(omega_k a, omega_k b) > delta.
 
     ``wins`` are the windows of ``pts`` at n; times go in _scan_times order,
-    pairs in sample order.  Times with |k| <= done are known not to expand.
+    pairs in sample order.
     """
-    for k in islice(_scan_times(n), max(2 * done + 1, 0), None):
+    for k in _scan_times(n):
         idx = k + n
         if spread_exceeds(space, [win[idx] for win in wins], delta):  # some pair does
             return next((pts[i], pts[j], k, d) for i in range(len(pts))
@@ -440,17 +442,11 @@ def sensitivity_at_point(
     a rotation a ball whose samples lie within delta by the drift slack
     (flow.rotation_drift) at time 0 never expands, and its windows are not read.
     """
-    if samples < 2 or any(not 0 < r < math.inf for r in radii):  # also rejects r = nan
-        raise ValueError("need samples >= 2 and positive finite radii")
     space = family.space
     if delta is None:
         delta = diameter(space) / 4
-    if not 0 < delta < math.inf:  # also rejects delta = nan
-        raise ValueError("delta must be positive and finite")
-    _require_number(x)
     cache = FlowCache(family)
     witnesses = []
-    short = min(n_max, SHORT_READ)
     for radius in radii:
         pts = _ball_samples(space, x, radius, samples)
         check_window(family, n_max)  # the full read's budget: a short hit must not hide it
@@ -459,11 +455,11 @@ def sensitivity_at_point(
             family, pts, n_max)
         hit = None
         if slack is None or spread_exceeds(space, pts, delta - slack):
-            hit = _first_expansion(space, pts, [cache.window(p, short) for p in pts],
-                                   short, delta)
-            if hit is None and n_max > short:
-                hit = _first_expansion(space, pts, [cache.window(p, n_max) for p in pts],
-                                       n_max, delta, short)
+            for n in _reads(n_max):
+                hit = _first_expansion(space, pts, [cache.window(p, n) for p in pts],
+                                       n, delta)
+                if hit is not None:
+                    break
         if hit is None:
             return PropertyReport("sensitivity_at_point", Verdict.EVIDENCE_AGAINST,
                                   {"delta": delta}, details={"unexpanded_radius": radius})
@@ -483,7 +479,6 @@ def _center_distances(family: MapFamily, x, eps, n_max: int):
 
     The distances come lazily, as (center, distance) pairs in center order.
     """
-    _require_number(x)
     space = family.space
     window = FlowCache(family).window(x, n_max)
     centers = net_centers(space, eps)
@@ -496,8 +491,6 @@ def orbit_density(family: MapFamily, x, eps, n_max: int) -> PropertyReport:
 
     Only a window that misses its worst center is scanned for a witness time.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     window, dists = _center_distances(family, x, eps, n_max)
     c, d = max(dists, key=lambda cd: cd[1])  # the first maximum
     details = {"max_center_distance": d, "worst_center": c}
@@ -532,8 +525,6 @@ def transitivity_scan(
     and at N only if some center is unmet there: a window is a prefix of the
     longer one, so a center met early is met at N.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
     space = family.space
     cache = FlowCache(family)
 
@@ -555,7 +546,7 @@ def transitivity_scan(
             if metric(space, p, u) < eps and all(q != p for q in pts):
                 pts.append(p)
         # every value the sampled ball reaches at some time |k| <= n
-        for n in sorted({min(n_max, SHORT_READ), n_max}):
+        for n in _reads(n_max):
             ball = [z for p in pts for z in cache.window(p, n)]
             if (missed := _hull_meets_all(space, ball, centers, eps)) is None:
                 break
@@ -588,8 +579,6 @@ def r_transitivity_check(
     For exact rotation families the block displacements are additionally
     checked exactly; all-zero blocks (identity block family) are flagged.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
     rep = transitivity_scan(block_family(family, r), eps, n_max, grid)
     if family.exact is not None:
         probe = min(n_max, 200)
@@ -651,11 +640,6 @@ def minimality_certificate(
     budget while missing some ball refutes; otherwise the budget was
     exhausted inconclusively.
     """
-    if eps <= 0 or order_cap < 1 or depth < 1 or grid < 2:
-        raise ValueError("bad minimality parameters")
-    if not eps < math.inf:  # NaN or inf: no finite net to cover
-        raise ValueError("eps must be positive and finite")
-
     if family.exact is not None and family.space is Space.CIRCLE:
         m = net_size(eps)
         check_grid_size(grid)
@@ -859,10 +843,6 @@ def hull_closure_equality(
     negative configuration: the match can fail there).  Requires
     equicontinuity evidence, short-circuited for declared isometries.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if n_max < 0:
-        raise ValueError("window size must be >= 0")
     if not family.declared_isometric:
         eq = equicontinuity_modulus(family, eps, n_max=25, pair_grid=9)
         if eq.verdict is not Verdict.EVIDENCE_FOR:
@@ -914,8 +894,6 @@ def dichotomy_scan(
     space = family.space
     if delta is None:
         delta = diameter(space) / 4
-    if not 0 < delta < math.inf:  # before the modulus scan, as sensitivity_at_point would
-        raise ValueError("delta must be positive and finite")
     eq = equicontinuity_modulus(family, eps, n_max=n_max, pair_grid=9)
 
     radii = (eps, eps / 4)

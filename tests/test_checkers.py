@@ -230,7 +230,7 @@ class TestSensitivity:
     @pytest.mark.parametrize("radii", [(math.nan,), (0.1, math.nan), (0.1, 0.0),
                                        (0.1, math.inf)])
     def test_radius_must_be_positive(self, fam, radii):
-        with pytest.raises(ValueError, match="positive finite radii"):
+        with pytest.raises(ValueError, match="^radii must be positive and finite$"):
             sensitivity_at_point(fam["example2_powers"], 0.3, radii=radii, n_max=10)
 
     def test_second_call_reads_the_family_store(self, monkeypatch):

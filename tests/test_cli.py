@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from naads import (
     CORPUS_NAMES,
+    DomainError,
     MapFamily,
     NaadsError,
     PropertyReport,
@@ -613,7 +614,7 @@ class TestBadInputExits64:
             "params": {"x": 0, "eps": 0, "N": 10},
         })
         assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: eps must be positive\n"
+        assert capsys.readouterr().err == "error: eps must be positive and finite\n"
 
 
 class TestHostileParameters:
@@ -669,11 +670,11 @@ class TestHostileParameters:
         ("circle_harmonic", "dichotomy_scan", ["eps=0.1", "N=5", "delta=-1"],
          "delta must be positive and finite"),
         ("circle_harmonic", "equicontinuity_modulus", ["eps=0.1", "N=-5"],
-         "window size must be >= 0"),
+         "N must be >= 0"),
         ("circle_harmonic", "li_yorke_classify", ["x=0.1", "y=0.2", "N=-1"],
-         "window size must be >= 0"),
+         "N must be >= 0"),
         ("circle_harmonic", "proximal_liminf", ["x=0.1", "y=0.2", "N=-1"],
-         "window size must be >= 0"),
+         "N must be >= 0"),
         ("identity", "periodicity_check", ["x=0.1", "r=2", "horizon=-3"],
          "horizon must be >= 0"),
         ("circle_harmonic", "periodicity_check", ["x=0.1", "r=2", "horizon=-3"],
@@ -688,11 +689,11 @@ class TestHostileParameters:
          "tol must be >= 0"),
         # declared isometries skipped the equicontinuity scan that rejects eps
         ("circle_ex4", "hull_closure_equality", ["x=0.3", "eps=-1"],
-         "eps must be positive"),
+         "eps must be positive and finite"),
         ("circle_ex4", "hull_closure_equality", ["x=0.3", "eps=0"],
-         "eps must be positive"),
+         "eps must be positive and finite"),
         ("identity", "hull_closure_equality", ["x=0.3", "eps=0"],
-         "eps must be positive"),
+         "eps must be positive and finite"),
         # an infinite eps or radius gave verdicts on identity and a nan point
         # on circles; dichotomy_scan, which passes eps on as a radius, exited 2
         ("identity", "equicontinuity_modulus", ["eps=inf"],
@@ -704,11 +705,11 @@ class TestHostileParameters:
         ("identity", "dichotomy_scan", ["eps=inf", "N=5"],
          "eps must be positive and finite"),
         ("identity", "sensitivity_at_point", ["x=0.3", "radii=inf"],
-         "need samples >= 2 and positive finite radii"),
+         "radii must be positive and finite"),
         ("example2_powers", "sensitivity_at_point", ["x=0.3", "radii=inf"],
-         "need samples >= 2 and positive finite radii"),
+         "radii must be positive and finite"),
         ("circle_harmonic", "sensitivity_at_point", ["x=0.3", "radii=0.1,inf"],
-         "need samples >= 2 and positive finite radii"),
+         "radii must be positive and finite"),
     ])
     def test_empty_scans_are_usage_errors(self, capsys, family, task, params, message):
         argv = ["--no-timestamp", "check", family, task]
@@ -739,7 +740,7 @@ class TestHostileParameters:
     # nan does not parse on the command line; the library call rejects it too
     @pytest.mark.parametrize("family", ["circle_ex4", "example2_powers"])
     def test_hull_closure_rejects_nan_eps(self, family):
-        with pytest.raises(ValueError, match="^eps must be positive$"):
+        with pytest.raises(ValueError, match="^eps must be positive and finite$"):
             checkers.hull_closure_equality(corpus(family).family, 0.3, math.nan)
 
     # nan does not parse on the command line; a library call must not get a
@@ -808,9 +809,9 @@ class TestHostileParameters:
         assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: expected an integer, got True\n"
 
-    # a negative window is bad input at any size: the flow's budget gate tests
-    # the sign before the horizon (hull_closure_equality, which reads no window
-    # of N on a declared isometry, tests the sign alone)
+    # a negative window is bad input at any size: the parameter gate tests the
+    # sign before any flow work, so also where no window of N is read
+    # (hull_closure_equality on a declared isometry)
     @pytest.mark.parametrize("n", [-1, -10 ** 30], ids=["-1", "-10**30"])
     @pytest.mark.parametrize("task", sorted(
         name for name, task in TASKS.items() if "N" in task.params))
@@ -821,8 +822,7 @@ class TestHostileParameters:
             if key in small:
                 argv += ["--param", f"{key}={small[key]}"]
         assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err in ("error: window size must be >= 0\n",
-                                           "error: need eps > 0 and window >= 1\n")
+        assert capsys.readouterr().err == "error: N must be >= 0\n"
 
     # an order past the horizon is a budget error at once on the exact path,
     # with the float path's message; the exact path used to run past 30 s
@@ -847,6 +847,63 @@ class TestHostileParameters:
         for item in params:
             argv += ["--param", item]
         assert main(argv) == EXIT_OK
+
+
+# Values that break each rule of checkers._RULES, as library values; nan
+# breaks every rule.  A radius breaks its rule inside a valid tuple.
+_BREAK_POSITIVE = (0.0, -1.0, math.inf, math.nan)
+_BREAKS = {
+    **dict.fromkeys(("eps", "delta"), _BREAK_POSITIVE),
+    "radii": tuple((0.1, v) for v in _BREAK_POSITIVE),
+    **dict.fromkeys(("tol", "N", "horizon"), (-1, math.nan)),
+    **dict.fromkeys(("r", "order_cap", "order_k", "depth"), (0, -1, math.nan)),
+    **dict.fromkeys(("grid", "grid_size", "pair_grid", "samples"), (1, 0, math.nan)),
+}
+# Valid values of the required parameters.
+_GATE_VALID = {"x": 0.3, "y": 0.6, "eps": 0.125, "r": 2, "N": 5}
+
+
+def _gate_cases():
+    for task in sorted(TASKS):
+        for key in TASKS[task].params:
+            values = (math.nan,) if key in ("x", "y") else _BREAKS.get(key, ())
+            for value in values:
+                yield pytest.param(task, key, value, id=f"{task}-{key}-{value}")
+
+
+class TestParameterGate:
+    """Every checker parameter is checked by name before any flow work."""
+
+    @pytest.mark.parametrize("task, key, value", _gate_cases())
+    def test_every_rule_is_enforced(self, capsys, task, key, value):
+        if key in ("x", "y"):
+            error, message = DomainError, "base point nan is not a number"
+        else:
+            error, message = ValueError, f"{key} {checkers._RULES[key][0]}"
+        spec = TASKS[task].spec
+        params = {public: _GATE_VALID[public]
+                  for public, (_arg, _coerce, required) in spec.items() if required}
+        params[key] = value
+        family = corpus("circle_harmonic").family
+        kwargs = {spec[public][0]: v for public, v in params.items()}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            getattr(checkers, task)(family, **kwargs)
+        assert family._traj == {} and family._maps == []
+
+        texts = {public: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                 for public, v in params.items()}
+        argv = ["--no-timestamp", "check", "circle_harmonic", task]
+        for public, text in texts.items():
+            argv += ["--param", f"{public}={text}"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        # nan parses only as an exact parameter (minimality_certificate's eps)
+        assert err == f"error: {message}\n" or "nan" in texts[key] and re.fullmatch(
+            r"error: expected an? (number|integer), got .*nan.*\n", err)
+
+    def test_every_parameter_has_a_rule(self):
+        params = {key for task in TASKS.values() for key in task.params}
+        assert params - set(checkers._RULES) == {"x", "y", "low_tol", "high_tol"}
 
 
 # The parameters each task accepts: its checker's, with N for n_max.

@@ -459,22 +459,14 @@ class TestHausdorffSweep:
         assert repr(_hausdorff(space, a, b)) == repr(want)
 
 
-def _reference_first_far(space, cache, a, b, w, eps, done=-1):
-    """_first_far_time with one metric call per time of each window."""
-    m = min(w, max(8, 2 * done))
-    while True:
-        wa, wb = cache.window(a, m), cache.window(b, m)
-        for k in range(done + 1, m + 1):
-            d = metric(space, wa[m + k], wb[m + k])
-            if d >= eps:
-                return k, d
-            if k:
-                d = metric(space, wa[m - k], wb[m - k])
-                if d >= eps:
-                    return -k, d
-        if m == w:
-            return None
-        done, m = m, min(w, 2 * m)
+def _reference_first_far(space, cache, a, b, w, eps):
+    """_first_far_time with one metric call per time of the whole window."""
+    wa, wb = cache.window(a, w), cache.window(b, w)
+    for k in _scan_times(w):
+        d = metric(space, wa[w + k], wb[w + k])
+        if d >= eps:
+            return k, d
+    return None
 
 
 def _reference_proximal(family, x, y, n_max):
@@ -499,18 +491,17 @@ class TestTimeScansMatchMetricCalls:
     @settings(max_examples=80, deadline=None)
     @given(name=scan_family, a=st.floats(0.01, 0.99), b=st.floats(0.01, 0.99),
            eps=st.sampled_from([1e-3, 0.05, 0.25, 0.5]),
-           w=st.integers(min_value=0, max_value=40), done=st.integers(-1, 39))
+           w=st.integers(min_value=0, max_value=40))
     # the pair sits at exactly eps at every time: the scan must stop at time 0
-    @example(name="identity", a=0.25, b=0.5, eps=0.25, w=3, done=-1)
+    @example(name="identity", a=0.25, b=0.5, eps=0.25, w=3)
     # closer than eps at times 0 and 1, exactly eps at time -1 (square roots)
-    @example(name="interval_square_sqrt", a=0.0625, b=0.25, eps=0.25, w=5, done=-1)
-    def test_first_far_time(self, name, a, b, eps, w, done):
+    @example(name="interval_square_sqrt", a=0.0625, b=0.25, eps=0.25, w=5)
+    def test_first_far_time(self, name, a, b, eps, w):
         fam = corpus(name).family
-        done = min(done, w - 1)
-        got = _first_far_time(fam, a, b, w, eps, done)
+        got = _first_far_time(fam, a, b, w, eps)
         # a fresh family: the reference reads no trajectory the kernel stored
         fresh = corpus(name).family
-        want = _reference_first_far(fresh.space, FlowCache(fresh), a, b, w, eps, done)
+        want = _reference_first_far(fresh.space, FlowCache(fresh), a, b, w, eps)
         assert repr(got) == repr(want)
 
     @settings(max_examples=60, deadline=None)

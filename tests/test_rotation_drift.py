@@ -275,7 +275,7 @@ class TestWindowsSkipped:
 # a negative N is bad input, a large one on a declared isometry is never read.
 def test_hull_closure_checks_the_sign_of_n_only():
     fam = corpus("circle_harmonic").family
-    with pytest.raises(ValueError, match="window size must be >= 0"):
+    with pytest.raises(ValueError, match="^N must be >= 0$"):
         hull_closure_equality(fam, 0.3, 0.2, n_max=-1)
     rep = hull_closure_equality(fam, 0.3, 0.2, n_max=10 ** 30)
     assert rep.verdict in (Verdict.EVIDENCE_FOR, Verdict.EVIDENCE_AGAINST)
