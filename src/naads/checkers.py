@@ -84,11 +84,15 @@ def _records_call(checker):
     ``x`` or ``y`` raises DomainError.  A returned PropertyReport gets the
     record as its ``parameters``, with ``family`` as the family's name; a value
     the checker resolves itself (a default ``delta``) it puts in the report,
-    and that value is kept.  The signature is read once, here, not per call.
+    and that value is kept.  This is the one reader of checker signatures, once
+    each; the wrapper keeps what the command line's task table reads: ``params``
+    (public names in signature order), ``arg_of`` (the checker argument each one
+    feeds), ``defaults`` and ``gives_verdict`` (it returns a PropertyReport).
     """
-    params = inspect.signature(checker).parameters.values()
+    sig = inspect.signature(checker, eval_str=True)
+    _family, *params = sig.parameters.values()
     public = {p.name: PUBLIC_NAME.get(p.name, p.name) for p in params}
-    positional = tuple(public.values())[1:]
+    positional = tuple(public.values())
     defaults = {public[p.name]: p.default for p in params if p.default is not p.empty}
     rules = [(name, *_RULES[name]) for name in positional if name in _RULES]
     points = [name for name in positional if name in ("x", "y")]
@@ -108,11 +112,18 @@ def _records_call(checker):
             rep.parameters = {**record, "family": family.name, **rep.parameters}
         return rep
 
+    call.params, call.defaults = positional, defaults
+    call.arg_of = dict(zip(positional, public))
+    call.gives_verdict = sig.return_annotation is PropertyReport
     return call
 
 
-def _reads(n: int) -> list:
-    """The window sizes a scan through n reads in turn: min(n, SHORT_READ), then n."""
+def _reads(family: MapFamily, n: int) -> list:
+    """The window sizes a scan through n reads in turn: min(n, SHORT_READ), then n.
+
+    n's budget is checked first, so a short read that decides hides no BudgetError.
+    """
+    check_window(family, n)
     return sorted({min(n, SHORT_READ), n})
 
 
@@ -278,11 +289,11 @@ def _first_far_time(family: MapFamily, a, b, w: int, eps):
     """First (n, d) in _scan_times(w) order with d(omega_n a, omega_n b) >= eps.
 
     None if the pair stays eps-close for |n| <= w.  The pair's windows are
-    read at each of _reads(w), one distance row per read, so a pair that
+    read at each of _reads(family, w), one distance row per read, so a pair that
     separates early costs short windows only.
     """
     space, window = family.space, FlowCache(family).window
-    for m in _reads(w):
+    for m in _reads(family, w):
         row = distances(space, window(a, m), window(b, m))  # index i holds time i - m
         for k in _scan_times(m):
             if (d := row[k + m]) >= eps:
@@ -449,13 +460,12 @@ def sensitivity_at_point(
     witnesses = []
     for radius in radii:
         pts = _ball_samples(space, x, radius, samples)
-        check_window(family, n_max)  # the full read's budget: a short hit must not hide it
         # a ball split at time 0 keeps its scan, which reads no turn past the short read
         slack = None if spread_exceeds(space, pts, delta) else rotation_drift(
             family, pts, n_max)
         hit = None
         if slack is None or spread_exceeds(space, pts, delta - slack):
-            for n in _reads(n_max):
+            for n in _reads(family, n_max):
                 hit = _first_expansion(space, pts, [cache.window(p, n) for p in pts],
                                        n, delta)
                 if hit is not None:
@@ -537,16 +547,15 @@ def transitivity_scan(
 
     centers = net_centers(space, eps)
     offsets = (0.0, 0.5 * eps, -0.5 * eps, 0.9 * eps, -0.9 * eps)
-    check_window(family, n_max)  # the full read's budget: a met short read must not hide it
     unmet = None
     for u in centers:
         pts = []
         for off in offsets:
             p = (u + off) % 1.0 if space is Space.CIRCLE else min(1.0, max(0.0, u + off))
-            if metric(space, p, u) < eps and all(q != p for q in pts):
+            if all(q != p for q in pts):
                 pts.append(p)
         # every value the sampled ball reaches at some time |k| <= n
-        for n in _reads(n_max):
+        for n in _reads(family, n_max):
             ball = [z for p in pts for z in cache.window(p, n)]
             if (missed := _hull_meets_all(space, ball, centers, eps)) is None:
                 break
@@ -786,6 +795,8 @@ def ap_propagation_check(
     when transporting returns from a nearby hull representative.
     """
     _require_commutative(family, "ap_propagation_check")
+    if not 3 * eps < math.inf:
+        raise ValueError("eps must leave 3*eps, its hull points' return radius, finite")
     base = almost_periodicity_report(family, x, eps, n_max)
     if base.verdict is not Verdict.EVIDENCE_FOR:
         raise PreconditionError(
@@ -891,6 +902,8 @@ def dichotomy_scan(
     EvidenceFor the dichotomy; mixed signals are inconclusive at this budget.
     """
     _require_commutative(family, "dichotomy_scan")
+    if not eps / 4 > 0:
+        raise ValueError("eps must leave eps/4, its second sensitivity radius, positive")
     space = family.space
     if delta is None:
         delta = diameter(space) / 4

@@ -25,14 +25,14 @@ Scenario files are JSON objects::
 ``family`` is a corpus name or an inline spec such as
 {"kind": "rotations", "angles": ["1/2", "-1/4"]} (angles cycle) or
 {"kind": "powers", "exponents": ["2", "1/2"]}.  A parameter value, JSON or
-command-line text, is converted once, by the checker parameter it feeds:
+command-line text, is converted once, by its public parameter name:
 text spells an int, a float or a "p/q" rational, which exact tasks keep
 exact; only ``radii`` takes a list, a JSON one or comma-separated text.
 
 Each task is the checker of that name.  Its parameter names, required
-parameters and defaults are read from the checker's signature; the one
-public rename is ``N`` for ``n_max``.  A task takes an ``expect`` only if
-its checker's return annotation is PropertyReport.  A task accepts its
+parameters and defaults are the checker's, as checkers._records_call read
+them from its signature, with ``N`` for ``n_max``.  A task takes an
+``expect`` only if its checker returns a PropertyReport.  A task accepts its
 checker's parameters and the ones its requested outputs read, and nothing
 else.  A report's ``param.*`` lines are the checker's call record under the
 same public names: every checker parameter, passed or defaulted, and the
@@ -46,7 +46,6 @@ Exit codes: 0 verdict matches (or no expectation), 1 expectation mismatch,
 from __future__ import annotations
 
 import csv
-import inspect
 import json
 import sys
 from datetime import datetime, timezone
@@ -145,53 +144,19 @@ def _g(params, key):
     return params[key]
 
 
-# Coercion of a public parameter value, by the checker parameter it feeds.
+# Coercion of a parameter value, by public name (the key space of checkers._RULES).
 _COERCE = {
     **dict.fromkeys(("x", "y", "eps", "delta", "tol", "low_tol", "high_tol"), _pt),
-    **dict.fromkeys(("r", "n_max", "horizon", "grid", "grid_size", "pair_grid",
+    **dict.fromkeys(("r", "N", "horizon", "grid", "grid_size", "pair_grid",
                      "samples", "order_cap", "order_k", "depth"), _int),
     "radii": _radii,
 }
 # minimality_certificate decides its cover in exact arithmetic
 _EXACT_PARAMS = {("minimality_certificate", "eps"): _rat}
 
-
-class _Task:
-    """Checker ``name`` called with a public parameter record.
-
-    Parameter names, required parameters and defaults are the checker's own:
-    its signature is read once, at import, and a parameter left out of the
-    record takes the checker's default.  The checker itself is looked up at
-    call time, so a wrapper put on ``checkers.<name>`` later is honoured.
-    """
-
-    def __init__(self, name):
-        self.name = name
-        sig = inspect.signature(getattr(checkers, name), eval_str=True)
-        # only a PropertyReport carries a verdict to check an 'expect' against
-        self.gives_verdict = sig.return_annotation is PropertyReport
-        _family, *args = sig.parameters.values()
-        # public name -> (checker parameter, coercion, required)
-        self.spec = {
-            checkers.PUBLIC_NAME.get(p.name, p.name): (
-                p.name,
-                _EXACT_PARAMS.get((name, p.name)) or _COERCE[p.name],
-                p.default is p.empty,
-            )
-            for p in args
-        }
-        self.params = tuple(self.spec)
-
-    def __call__(self, family, params):
-        kwargs = {
-            arg: coerce(_g(params, public))
-            for public, (arg, coerce, required) in self.spec.items()
-            if required or public in params
-        }
-        return getattr(checkers, self.name)(family, **kwargs)
-
-
-TASKS = {name: _Task(name) for name in (
+# Each task is the checker of that name, kept here for the signature metadata
+# checkers._records_call leaves on it: params, arg_of, defaults, gives_verdict.
+TASKS = {name: getattr(checkers, name) for name in (
     "periodicity_check", "return_time_set", "almost_periodicity_report",
     "uniform_ap_report", "equicontinuity_modulus", "proximal_liminf",
     "li_yorke_classify", "sensitivity_at_point", "orbit_density",
@@ -199,6 +164,20 @@ TASKS = {name: _Task(name) for name in (
     "hull_periodicity_property", "ap_propagation_check",
     "hull_closure_equality", "dichotomy_scan",
 )}
+
+
+def _call(task, family, params):
+    """Checker ``task`` on public ``params``: each passed or required one coerced.
+
+    It is looked up at call time: a wrapper put on ``checkers.<task>`` is honoured.
+    """
+    spec = TASKS[task]
+    kwargs = {
+        spec.arg_of[key]: (_EXACT_PARAMS.get((task, key)) or _COERCE[key])(_g(params, key))
+        for key in spec.params if key in params or key not in spec.defaults
+    }
+    return getattr(checkers, task)(family, **kwargs)
+
 
 # The parameters each output kind reads beside the task's own.
 _OUTPUT_PARAMS = {
@@ -248,7 +227,7 @@ def _render_result(result, family, task, timestamp):
 
 def _task_result(name, task, result, family, params):
     """Checker ``name``'s result: the task's own when the task is ``name``."""
-    return result if task == name else TASKS[name](family, params)
+    return result if task == name else _call(name, family, params)
 
 
 def _write_outputs(outputs, rendered, family, task, params, result):
@@ -345,7 +324,7 @@ def _run_scenario_dict(scenario: dict, timestamp: bool) -> int:
         if not TASKS[task].gives_verdict:
             raise SchemaError("'expect' is only valid for verdict-producing tasks")
     family = _load_family(scenario["family"])
-    result = TASKS[task](family, params)
+    result = _call(task, family, params)
     rendered = _render_result(result, family, task, timestamp)
     _write_outputs(outputs, rendered, family, task, params, result)
     if not any(out.get("kind") == "report" for out in outputs):

@@ -710,6 +710,12 @@ class TestHostileParameters:
          "radii must be positive and finite"),
         ("circle_harmonic", "sensitivity_at_point", ["x=0.3", "radii=0.1,inf"],
          "radii must be positive and finite"),
+        # a value the checker derives from eps is checked as eps, by the
+        # checker: eps/4 underflows to 0, and 3*eps overflows to inf
+        ("circle_ex4", "dichotomy_scan", ["eps=5e-324", "N=5"],
+         "eps must leave eps/4, its second sensitivity radius, positive"),
+        ("circle_ex4", "ap_propagation_check", ["x=0.3", "eps=1e308", "N=5"],
+         "eps must leave 3*eps, its hull points' return radius, finite"),
     ])
     def test_empty_scans_are_usage_errors(self, capsys, family, task, params, message):
         argv = ["--no-timestamp", "check", family, task]
@@ -736,6 +742,19 @@ class TestHostileParameters:
                 "--param", "eps=0.1", "--param", f"delta={delta}"]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: delta must be positive and finite\n"
+
+    # an eps whose derived radius leaves the gate's domain is rejected by the
+    # checker before any flow work
+    @pytest.mark.parametrize("task, args, message", [
+        ("dichotomy_scan", (5e-324,), "eps/4, its second sensitivity radius, positive"),
+        ("ap_propagation_check", (0.3, 1e308),
+         "3*eps, its hull points' return radius, finite"),
+    ])
+    def test_derived_eps_is_rejected_before_flow_work(self, task, args, message):
+        family = corpus("circle_ex4").family
+        with pytest.raises(ValueError, match=f"^eps must leave {re.escape(message)}$"):
+            getattr(checkers, task)(family, *args, n_max=5)
+        assert family._traj == {} and family._maps == []
 
     # nan does not parse on the command line; the library call rejects it too
     @pytest.mark.parametrize("family", ["circle_ex4", "example2_powers"])
@@ -880,12 +899,12 @@ class TestParameterGate:
             error, message = DomainError, "base point nan is not a number"
         else:
             error, message = ValueError, f"{key} {checkers._RULES[key][0]}"
-        spec = TASKS[task].spec
+        checker = TASKS[task]
         params = {public: _GATE_VALID[public]
-                  for public, (_arg, _coerce, required) in spec.items() if required}
+                  for public in checker.params if public not in checker.defaults}
         params[key] = value
         family = corpus("circle_harmonic").family
-        kwargs = {spec[public][0]: v for public, v in params.items()}
+        kwargs = {checker.arg_of[public]: v for public, v in params.items()}
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             getattr(checkers, task)(family, **kwargs)
         assert family._traj == {} and family._maps == []
@@ -904,6 +923,9 @@ class TestParameterGate:
     def test_every_parameter_has_a_rule(self):
         params = {key for task in TASKS.values() for key in task.params}
         assert params - set(checkers._RULES) == {"x", "y", "low_tol", "high_tol"}
+
+    def test_coercions_are_keyed_by_public_name(self):
+        assert set(cli._COERCE) == {key for task in TASKS.values() for key in task.params}
 
 
 # The parameters each task accepts: its checker's, with N for n_max.
@@ -954,7 +976,7 @@ _RECORD_PARAMS = {
 def test_report_parameters_record_the_call(task):
     family = corpus("circle_ex4").family
     passed = _RECORD_PARAMS[task]
-    result = TASKS[task](family, passed)
+    result = cli._call(task, family, passed)
     if not isinstance(result, PropertyReport):
         assert task in ("return_time_set", "proximal_liminf")
         return
@@ -965,8 +987,8 @@ def test_report_parameters_record_the_call(task):
 
     # the same call spelled positionally and by keyword, every argument given
     checker = getattr(checkers, task)
-    names = [arg for arg, _coerce, _required in TASKS[task].spec.values()]
-    values = [record[public] for public in TASKS[task].spec]
+    names = [TASKS[task].arg_of[public] for public in TASKS[task].params]
+    values = [record[public] for public in TASKS[task].params]
     by_position = checker(family, *values)
     by_keyword = checker(family, **dict(zip(names, values)))
     assert by_position.parameters == by_keyword.parameters == record
@@ -1051,7 +1073,7 @@ _STORE_FAMILIES = {
 def _task_outcome(family, task):
     """The task's rendered report, or the error it raises."""
     try:
-        return _render_result(TASKS[task](family, _SHARED_PARAMS), family, task, False)
+        return _render_result(cli._call(task, family, _SHARED_PARAMS), family, task, False)
     except NaadsError as exc:
         return f"{type(exc).__name__}: {exc}"
 
