@@ -24,9 +24,9 @@ from fractions import Fraction
 from itertools import chain, repeat
 
 from .errors import DomainError, PreconditionError
-from .exact import exact_hull_displacements, exact_periodicity
-from .flow import (
-    FlowCache, MapFamily, block_family, check_window, hull_sample, rotation_drift)
+from .exact import exact_hull_displacements, exact_periodicity, points_budget
+from .flow import (HULL_POINTS, FlowCache, MapFamily, block_family, check_window,
+                   hull_sample, rotation_drift)
 from .report import ProximalExtremes, PropertyReport, ReturnTimeSet, Verdict, Witness
 from .space import (
     Space,
@@ -752,8 +752,9 @@ def hull_periodicity_property(
     A Certified base check covers every hull point: it comes from the exact
     displacements alone, which do not depend on the point (a rotation flow
     fixes every point or none), so each point's check would repeat it with
-    the same arguments.  The hull is still sampled for ``hull_size``.  Float
-    families check each sampled hull point.
+    the same arguments.  So no hull is sampled: ``hull_size`` is the exact
+    count, capped and gated as hull_sample caps and gates (points, then window).
+    Float families sample the hull and check each sampled point.
     """
     _require_commutative(family, "hull_periodicity_property")
     base = periodicity_check(family, x, r, horizon, tol)
@@ -761,18 +762,22 @@ def hull_periodicity_property(
         raise PreconditionError(
             f"base point {x!r} is not period-{r} at horizon {horizon}"
         )
+    if base.verdict is Verdict.CERTIFIED:  # only an exact view certifies
+        cap = points_budget(HULL_POINTS)
+        check_window(family, order_k)
+        size = len(exact_hull_displacements(family.exact, order_k, depth).numerators)
+        return PropertyReport("hull_periodicity", Verdict.EVIDENCE_FOR,
+                              details={"hull_size": min(size, cap), "failing_points": 0})
     hs = hull_sample(family, x, order_k, depth)
-    # a Certified base is exact and point-free; it covers every hull point
-    if base.verdict is Verdict.EVIDENCE_FOR:
-        for p in hs.points:
-            rep = periodicity_check(family, p, r, horizon, tol)
-            if rep.verdict not in (Verdict.CERTIFIED, Verdict.EVIDENCE_FOR):
-                return PropertyReport(
-                    "hull_periodicity",
-                    Verdict.REFUTED,
-                    witnesses=list(rep.witnesses),
-                    details={"failing_point": p, "hull_size": len(hs.points)},
-                )
+    for p in hs.points:
+        rep = periodicity_check(family, p, r, horizon, tol)
+        if rep.verdict not in (Verdict.CERTIFIED, Verdict.EVIDENCE_FOR):
+            return PropertyReport(
+                "hull_periodicity",
+                Verdict.REFUTED,
+                witnesses=list(rep.witnesses),
+                details={"failing_point": p, "hull_size": len(hs.points)},
+            )
     return PropertyReport(
         "hull_periodicity",
         Verdict.EVIDENCE_FOR,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import gcd
+from math import copysign, gcd
 
 from .errors import BudgetError, ConstructionError
 from .exact import RationalRotationFamily, points_budget
@@ -35,6 +35,8 @@ from .space import BOUNDARY_TOL, Space, metric
 DEFAULT_HORIZON = 100_000
 # hull_sample keeps no two points closer than this
 DEDUP_EPS = 1e-9
+# hull_sample keeps at most this many points (lowered by NAADS_BUDGET_POINTS)
+HULL_POINTS = 4096
 # The dedup bucket width: the least power of two at least twice DEDUP_EPS and
 # BOUNDARY_TOL, so a point within DEDUP_EPS lies in its bucket or the next.
 _BUCKET = 2.0 ** -28
@@ -233,9 +235,9 @@ class FlowCache:
     A FlowCache is a view that holds only its family: every trajectory lives
     in the family's one store, so all views of a family read and extend the
     same trajectories.  The store has no cap and lives as long as the family.
-    It holds every value, keyed by (type(x), x, tag):
-    Fraction(1, 2) and 0.5 are equal and hash alike but have different
-    trajectories.  Tag "+" is the forward trajectory [x, omega_1(x), ...],
+    It holds every value, keyed by (type(x), x, tag, the sign of a zero x):
+    Fraction(1, 2) and 0.5, or 0.0 and -0.0, are equal and hash alike but have
+    different trajectories.  Tag "+" is the forward trajectory [x, omega_1(x), ...],
     extended one map at a time as omega's loop does, inline over the family's
     turns where it has them (see _extend).  Backward values use one of two
     strategies, chosen from the family's declarations:
@@ -262,7 +264,7 @@ class FlowCache:
     def _traj(self, x, tag, i: int) -> list:
         """x's trajectory under ``tag``, started if missing and extended through entry i."""
         fam = self.family
-        traj = fam._traj.get(key := (type(x), x, tag))
+        traj = fam._traj.get(key := (type(x), x, tag, copysign(1, x) if x == 0 else 1))
         if traj is None:
             traj = fam._traj[key] = [x if tag in ("+", "-") else omega(fam, -tag, x)]
         if len(traj) > i:
@@ -385,12 +387,12 @@ def hull_sample(family: MapFamily, x, order_k: int, depth: int) -> HullSample:
     with the kept points in its bucket and the two next to it (around the
     circle).  Buckets are _BUCKET wide, so no point of another bucket is within
     DEDUP_EPS; an x off the space's range shares one bucket with all.  Hitting
-    the points budget (4096, lowered by NAADS_BUDGET_POINTS) sets
+    the points budget (HULL_POINTS, lowered by NAADS_BUDGET_POINTS) sets
     budget_exhausted; truncation is reported, never silent.
     """
     if order_k < 1 or depth < 1:
         raise ValueError("order_k and depth must be >= 1")
-    cap = points_budget(4096)
+    cap = points_budget(HULL_POINTS)
     space = family.space
     circle = space is Space.CIRCLE
     inside = -BOUNDARY_TOL <= x <= 1 + BOUNDARY_TOL

@@ -16,6 +16,7 @@ from naads import (
     PowerMap,
     PreconditionError,
     Reflection,
+    SchemaError,
     Verdict,
     Witness,
     almost_periodicity_report,
@@ -23,6 +24,7 @@ from naads import (
     corpus,
     dichotomy_scan,
     equicontinuity_modulus,
+    exact_hull_displacements,
     hull_closure_equality,
     hull_periodicity_property,
     li_yorke_classify,
@@ -37,6 +39,7 @@ from naads import (
     transitivity_scan,
     uniform_ap_report,
 )
+from naads.corpus import rotation_family
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +299,7 @@ class TestScansStopEarly:
         family = corpus("circle_ex4").family
         rep = transitivity_scan(family, 0.05, 100)
         assert rep.details["unmet_pair"][0] == 0.0
-        assert len({x for _, x, _ in family._traj}) <= 21
+        assert len({x for _, x, _, _ in family._traj}) <= 21
 
     def test_transitivity_reads_met_balls_short(self):
         # every ball meets every center within 16 steps, so its windows stop
@@ -306,7 +309,7 @@ class TestScansStopEarly:
         rep = transitivity_scan(family, 0.05, 240)
         assert rep.verdict is Verdict.EVIDENCE_FOR
         long = {key: len(traj) for key, traj in family._traj.items() if len(traj) != 17}
-        assert long == {(float, 0.0, "+"): 241, (float, 0.0, "-"): 241}
+        assert long == {(float, 0.0, "+", 1.0): 241, (float, 0.0, "-", 1.0): 241}
         assert sum(len(traj) for traj in family._traj.values()) == 3474
 
     def test_transitivity_window_past_the_horizon_is_a_budget_error(self):
@@ -411,6 +414,50 @@ class TestHullProperties:
         float_rep = hull_periodicity_property(float_fam, 0.3, 2, order_k=3, depth=3)
         assert len(calls) == 1 + rep.details["hull_size"]
         assert float_rep.details == rep.details
+
+    def test_certified_base_samples_no_hull(self, monkeypatch):
+        # the exact hull is counted instead: the store holds only what the
+        # base check wrote, and no map is built
+        samples = []
+        monkeypatch.setattr(checkers, "hull_sample", lambda *a: samples.append(a))
+        base = corpus("circle_harmonic").family
+        periodicity_check(base, 0.3, 2)
+        family = corpus("circle_harmonic").family
+        rep = hull_periodicity_property(family, 0.3, 2)
+        assert rep.details == {"hull_size": 12, "failing_points": 0}
+        assert samples == []
+        assert family._traj.keys() == base._traj.keys()
+        assert [repr(t) for t in family._traj.values()] == [
+            repr(t) for t in base._traj.values()]
+        assert family._maps == []
+
+    # the fractional parts of sqrt 2, 3, 5, 7 and their negatives: period 8
+    _SURDS = [s + a for a in ("0.41421356237309515", "0.7320508075688772",
+                              "0.2360679774997898", "0.6457513110645907") for s in "+-"]
+
+    @staticmethod
+    def _cycle(angles):
+        steps = [(Fraction(a) % 1).as_integer_ratio() for a in angles]
+        return rotation_family("cycle", lambda n: steps[(n - 1) % len(steps)])
+
+    def test_certified_hull_size_is_capped_at_the_float_cap(self, monkeypatch):
+        # the exact hull has 5641 points, past hull_sample's 4096
+        family = self._cycle(self._SURDS)
+        assert len(exact_hull_displacements(family.exact, 8, 9).numerators) == 5641
+        rep = hull_periodicity_property(family, 0.3, 8, order_k=8, depth=9)
+        assert rep.details["hull_size"] == 4096
+        monkeypatch.setenv("NAADS_BUDGET_POINTS", "50")
+        rep = hull_periodicity_property(family, 0.3, 8, order_k=8, depth=9)
+        assert rep.details["hull_size"] == 50
+
+    def test_certified_hull_order_checks_the_window_after_the_cap(self, monkeypatch):
+        # hull_sample's order: the points budget, then the horizon, then the hull
+        family = self._cycle(["1/3", "-1/3"])
+        with pytest.raises(BudgetError, match="^time -3000000 exceeds horizon 100000$"):
+            hull_periodicity_property(family, 0.3, 2, order_k=3_000_000, depth=1)
+        monkeypatch.setenv("NAADS_BUDGET_POINTS", "many")
+        with pytest.raises(SchemaError, match="NAADS_BUDGET_POINTS"):
+            hull_periodicity_property(family, 0.3, 2, order_k=3_000_000, depth=1)
 
     def test_hull_periodicity_requires_commutativity(self, fam):
         with pytest.raises(PreconditionError):

@@ -126,6 +126,17 @@ class TestFlowCache:
         cache.omega(-2, Fraction(1, 2))
         assert repr(cache.omega(-2, 0.5)) == repr(omega(fam, -2, 0.5))
 
+    @pytest.mark.parametrize("name", ["circle_harmonic", "example2_powers"])
+    def test_zero_and_negative_zero_kept_apart(self, name):
+        # 0.0 == -0.0 and both hash alike, yet time 0 of -0.0's window is -0.0
+        fam = corpus(name).family
+        cache = FlowCache(fam)
+        n = 3
+        cache.window(0.0, n)
+        want = [repr(omega(fam, t, -0.0)) for t in range(-n, n + 1)]
+        assert [repr(y) for y in cache.window(-0.0, n)] == want
+        assert want[n] == "-0.0"
+
     def test_window_indexing(self):
         fam = corpus("circle_ex4").family
         cache = FlowCache(fam)
