@@ -24,10 +24,11 @@ Scenario files are JSON objects::
 
 ``family`` is a corpus name or an inline spec such as
 {"kind": "rotations", "angles": ["1/2", "-1/4"]} (angles cycle) or
-{"kind": "powers", "exponents": ["2", "1/2"]}.  A parameter value, JSON or
-command-line text, is converted once, by its public parameter name:
-text spells an int, a float or a "p/q" rational, which exact tasks keep
-exact; only ``radii`` takes a list, a JSON one or comma-separated text.
+{"kind": "powers", "exponents": ["2", "1/2"]}, its values numbers or numeric
+strings read exactly.  A parameter value, JSON or command-line text, is
+converted once, by its public parameter name: text spells an int, a float
+or a "p/q" rational, which exact tasks keep exact; only ``radii`` takes a
+list, a JSON one or comma-separated text.
 
 Each task is the checker of that name.  Its parameter names, required
 parameters and defaults are the checker's, as checkers._records_call read
@@ -189,20 +190,29 @@ _OUTPUT_PARAMS = {
 OUTPUT_KINDS = tuple(_OUTPUT_PARAMS)
 
 
+def _inline_values(spec: dict, kind: str, key: str) -> list[Fraction]:
+    """``spec[key]``, a non-empty list of numbers or numeric strings, read exactly."""
+    values = spec.get(key)
+    if not isinstance(values, list) or not values:
+        raise SchemaError(f"inline {kind} need a non-empty {key!r} list")
+    try:
+        if all(type(v) in (int, float, str) for v in values):
+            return [Fraction(v) for v in values]
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise SchemaError(f"inline {kind} {key!r} must be numbers or numeric strings")
+
+
 def _inline_family(spec: dict) -> MapFamily:
     kind = spec.get("kind")
     name = spec.get("name", f"inline_{kind}")
     if not isinstance(name, str):
         raise SchemaError(f"inline family 'name' must be a string, got {name!r}")
     if kind == "rotations":
-        steps = [(Fraction(a) % 1).as_integer_ratio() for a in spec.get("angles", [])]
-        if not steps:
-            raise SchemaError("inline rotations need a non-empty 'angles' list")
+        steps = [(a % 1).as_integer_ratio() for a in _inline_values(spec, kind, "angles")]
         return rotation_family(name, lambda n: steps[(n - 1) % len(steps)])
     if kind == "powers":
-        exps = [Fraction(e) for e in spec.get("exponents", [])]
-        if not exps:
-            raise SchemaError("inline powers need a non-empty 'exponents' list")
+        exps = _inline_values(spec, kind, "exponents")
         return MapFamily(
             space=Space.UNIT_INTERVAL,
             rule=lambda n: PowerMap(exps[(n - 1) % len(exps)]),

@@ -47,9 +47,10 @@ def rotation_family(name: str, step) -> MapFamily:
 
 
 def _identity() -> CorpusEntry:
+    one = PowerMap(1)
     fam = MapFamily(
         space=Space.UNIT_INTERVAL,
-        rule=lambda n: PowerMap(1),
+        rule=lambda n: one,
         name="identity",
         declared_commutative=True,
         declared_isometric=True,

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import copysign, gcd
+from operator import attrgetter
 
 from .errors import BudgetError, ConstructionError
 from .exact import RationalRotationFamily, points_budget
@@ -119,7 +120,7 @@ class MapFamily:
             if self.declared_isometric and not h.isometric:
                 raise ConstructionError(
                     f"{self.name!r} is declared isometric, but f_{k} is not")
-            if p and k > p and h != maps[k - p - 1]:
+            if p and k > p and h is not maps[k - p - 1] and h != maps[k - p - 1]:
                 raise ConstructionError(
                     f"{self.name!r} declares period {p}, but f_{k} differs "
                     f"from f_{k - p}")
@@ -195,13 +196,13 @@ def _extend(family: MapFamily, traj: list, n: int, inverse: bool) -> None:
     wrap_circle(y + a), where y - a is y + (-a) in IEEE arithmetic.  Once y is
     in [0, 1), the range check of the first step holds at every later one.
     """
-    lo, y = len(traj), traj[-1]
+    lo, y, append = len(traj), traj[-1], traj.append
     if not family.rides_turns((y,), n):
-        for h in family._maps_through(n)[lo - 1:n]:
-            y = h.inverse(y) if inverse else h.forward(y)
-            traj.append(y)
+        step = attrgetter("inverse" if inverse else "forward")
+        for f in map(step, family._maps_through(n)[lo - 1:n]):
+            y = f(y)
+            append(y)
         return
-    append = traj.append
     for a in (family._back if inverse else family._turns)[lo - 1:n]:
         y = (y + a) % 1.0
         if y >= 1.0:

@@ -3,7 +3,8 @@
 Each map evaluates forward and inverse; construction validates invertibility
 so evaluation never has to.  Piecewise-linear data must describe a strictly
 increasing homeomorphism of [0, 1]; decreasing maps (such as x -> 1 - sqrt(x))
-are expressed as a Composite with a Reflection.
+are expressed as a Composite with a Reflection.  Interval maps test a point
+against [0, 1] inline and call _unit_clamp only off that range.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class PiecewiseLinear(Homeomorphism):
     ``breakpoints`` is an ascending list of (x, f(x)) nodes starting at x=0
     and ending at x=1, with f(0)=0 and f(1)=1.  Evaluation at a node returns
     the stored node value (the left piece's limit; continuity makes the
-    choice observationally irrelevant).
+    choice observationally irrelevant), so the endpoints map exactly to 0.0
+    and 1.0; elsewhere the interpolated value is clamped into [0, 1].
     """
 
     def __init__(self, breakpoints):
@@ -80,51 +82,51 @@ class PiecewiseLinear(Homeomorphism):
 
     @staticmethod
     def _interp(xs, ys, x):
+        x = x if 0.0 <= x <= 1.0 else _unit_clamp(x)
         i = bisect.bisect_left(xs, x)
         if i < len(xs) and xs[i] == x:
             return ys[i]
         t = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
-        return _unit_clamp(ys[i - 1] + t * (ys[i] - ys[i - 1]))
+        y = ys[i - 1] + t * (ys[i] - ys[i - 1])
+        return y if 0.0 <= y <= 1.0 else _unit_clamp(y)
 
     def forward(self, x):
-        return self._interp(self.xs, self.ys, _unit_clamp(x))
+        return self._interp(self.xs, self.ys, x)
 
     def inverse(self, y):
-        return self._interp(self.ys, self.xs, _unit_clamp(y))
+        return self._interp(self.ys, self.xs, y)
 
 
 class PowerMap(Homeomorphism):
     """x -> x**e on [0, 1] for a positive rational exponent; fixes 0 and 1.
 
-    Interior points go through floating pow; the fixed points are returned
-    exactly so orbits through 0 and 1 never drift.
+    Points of the open interval (0, 1) go through floating pow with float(e)
+    or float(1 / e); any other point is clamped, and the fixed points come
+    back exactly as 0.0 and 1.0, so orbits through 0 and 1 never drift.
     """
 
     kind = "power"
 
     def __init__(self, exponent):
         e = Fraction(exponent)
-        if e <= 0:
+        n, d = e.numerator, e.denominator
+        if n <= 0:
             raise ConstructionError(f"exponent must be positive, got {exponent!r}")
         self.exponent = e
-        self.isometric = e == 1
-        self._e = float(e)
-        self._e_inv = float(1 / e)
+        self.isometric = n == d
+        try:  # float(e) and float(1 / e) are these correctly rounded int divisions
+            self._e, self._e_inv = n / d, d / n
+        except OverflowError:  # the message leaves out the exponent's many digits
+            raise ConstructionError(f"exponent near 2**{n.bit_length() - d.bit_length()} "
+                                    "or its inverse overflows a float") from None
 
-    @staticmethod
-    def _pow(x, e):
-        x = _unit_clamp(x)
-        if x == 0:
-            return 0.0
-        if x == 1:
-            return 1.0
-        return x ** e
-
+    # 0 < x < 1, tested as 0.0 <= x first so that a point that does not compare
+    # raises _unit_clamp's TypeError; off it, the clamped point is 0 or 1
     def forward(self, x):
-        return self._pow(x, self._e)
+        return x ** self._e if 0.0 <= x < 1.0 and x else 1.0 if _unit_clamp(x) else 0.0
 
     def inverse(self, x):
-        return self._pow(x, self._e_inv)
+        return x ** self._e_inv if 0.0 <= x < 1.0 and x else 1.0 if _unit_clamp(x) else 0.0
 
 
 class CircleRotation(Homeomorphism):
@@ -171,7 +173,7 @@ class Reflection(Homeomorphism):
     isometric = True
 
     def forward(self, x):
-        return 1 - _unit_clamp(x)
+        return 1 - (x if 0.0 <= x <= 1.0 else _unit_clamp(x))
 
     inverse = forward
 

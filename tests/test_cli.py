@@ -318,6 +318,47 @@ class TestSchemaErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    _NOT_NUMBERS = "must be numbers or numeric strings"
+
+    @pytest.mark.parametrize("family, message", [
+        ({"kind": "powers", "exponents": ["1e400"]},
+         "exponent near 2**1328 or its inverse overflows a float"),
+        ({"kind": "powers", "exponents": ["1e-400"]},
+         "exponent near 2**-1328 or its inverse overflows a float"),
+        ({"kind": "powers", "exponents": ["5e-324"]},
+         "exponent near 2**-1073 or its inverse overflows a float"),
+        ({"kind": "powers", "exponents": [None]}, f"inline powers 'exponents' {_NOT_NUMBERS}"),
+        ({"kind": "powers", "exponents": [[]]}, f"inline powers 'exponents' {_NOT_NUMBERS}"),
+        ({"kind": "rotations", "angles": [None]}, f"inline rotations 'angles' {_NOT_NUMBERS}"),
+        ({"kind": "powers", "exponents": 2},
+         "inline powers need a non-empty 'exponents' list"),
+        ({"kind": "rotations", "angles": [math.inf]},
+         f"inline rotations 'angles' {_NOT_NUMBERS}"),
+        # a string in place of the list, and a boolean value, used to run
+        ({"kind": "powers", "exponents": "2"},
+         "inline powers need a non-empty 'exponents' list"),
+        ({"kind": "rotations", "angles": "1/3"},
+         "inline rotations need a non-empty 'angles' list"),
+        ({"kind": "powers", "exponents": [True]}, f"inline powers 'exponents' {_NOT_NUMBERS}"),
+        ({"kind": "rotations", "angles": ["1/2", False]},
+         f"inline rotations 'angles' {_NOT_NUMBERS}"),
+    ], ids=["exp-1e400", "exp-1e-400", "exp-5e-324", "exp-null", "exp-nested", "angle-null",
+            "exp-int", "angle-inf", "exp-string", "angle-string", "exp-bool", "angle-bool"])
+    def test_bad_inline_values(self, tmp_path, capsys, family, message):
+        path = _scenario(tmp_path, {"family": family, **self._TASK})
+        assert main(["--no-timestamp", "run", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_inline_string_values_stay_exact_decimals(self, tmp_path, capsys):
+        # "0.1" is the decimal 1/10, not the float 0.1: ten steps return exactly
+        path = _scenario(tmp_path, {"family": {"kind": "rotations", "angles": ["0.1"]},
+                                    "task": "periodicity_check",
+                                    "params": {"x": "1/3", "r": 10},
+                                    "expect": "Certified"})
+        assert main(["--no-timestamp", "run", path]) == EXIT_OK
+
     def test_bad_expectation_exits_before_a_hostile_horizon(self, capsys):
         # the run would end in exit 2, on the denominator budget
         code = main(["check", "circle_harmonic", "periodicity_check", "--param", "x=0.3",

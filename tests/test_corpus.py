@@ -86,3 +86,8 @@ def test_declarations():
         assert corpus(name).family.declared_commutative, name
     for name in ("circle_settling", "circle_ex4", "circle_harmonic", "identity"):
         assert corpus(name).family.declared_isometric, name
+
+
+def test_identity_shares_one_map():
+    fam = corpus("identity").family
+    assert fam.map_at(1) is fam.map_at(5)

@@ -10,6 +10,7 @@ exit 64.
 
 import contextlib
 import io
+import json
 import time
 
 import pytest
@@ -76,3 +77,29 @@ def test_tiny_eps_names_eps_not_the_grid_size():
                         {"x": "0", "eps": "1e-300", "N": "10"})
     assert code == EXIT_INCONCLUSIVE
     assert "eps=1e-300" in err and len(err) < 120
+
+
+# Found by the sweep: a non-list, a null or nested value, a JSON inf or an
+# exponent whose float overflows ended in a traceback, and a string or a
+# boolean was read as a number.
+# Each value as JSON text: every HOSTILE string, and values that are not strings.
+INLINE_VALUES = [*map(json.dumps, HOSTILE), "null", "[]", "{}", "true", "1e400"]
+
+
+@pytest.mark.parametrize("kind, key", [("rotations", "angles"), ("powers", "exponents")])
+def test_inline_spec_sweep(tmp_path, kind, key):
+    """Each value as a one-value list, and each in place of the list."""
+    path = tmp_path / "scenario.json"
+    bad = []
+    for values in [f"[{v}]" for v in INLINE_VALUES] + INLINE_VALUES:
+        path.write_text(f'{{"family": {{"kind": "{kind}", "{key}": {values}}}, '
+                        '"task": "periodicity_check", "params": {"x": 0.3, "r": 2}}')
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--no-timestamp", "run", str(path)])
+        seconds = time.perf_counter() - start
+        if (code not in (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_USAGE) or seconds > CASE_SECONDS
+                or code == EXIT_USAGE and not err.getvalue().startswith("error: ")):
+            bad.append((values, code, round(seconds, 2), err.getvalue()))
+    assert not bad

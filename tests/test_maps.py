@@ -23,6 +23,7 @@ from naads import (
     uniform_grid,
     wrap_circle,
 )
+from naads.maps import _unit_clamp
 
 
 class TestSpace:
@@ -179,3 +180,118 @@ class TestReflectionComposite:
     def test_composite_needs_maps(self):
         with pytest.raises(ConstructionError):
             Composite([])
+
+
+# The unit interval maps' specification, written from their docstrings: a point
+# within 1e-9 of [0, 1] is clamped into it, one farther off or NaN is a
+# DomainError; a PowerMap fixes 0 and 1 exactly and takes x ** e inside; a
+# PiecewiseLinear takes the node value at a node and the clamped interpolation
+# elsewhere; a Reflection takes 1 - x.
+
+def _spec_clamp(x):
+    if x != x or x < -1e-9 or x > 1 + 1e-9:
+        raise DomainError(f"point {x!r} outside [0, 1]")
+    return 0.0 if x < 0 else 1.0 if x > 1 else x
+
+
+def _spec_power(e):
+    def power(x):
+        x = _spec_clamp(x)
+        return 0.0 if x == 0 else 1.0 if x == 1 else x ** float(e)
+    return power
+
+
+def _spec_piecewise(nodes):
+    def piecewise(x):
+        x = _spec_clamp(x)
+        for (x0, y0), (x1, y1) in zip(nodes, nodes[1:]):
+            if x == x0:
+                return y0
+            if x0 < x < x1:
+                return _spec_clamp(y0 + (x - x0) / (x1 - x0) * (y1 - y0))
+        return nodes[-1][1]
+    return piecewise
+
+
+def _spec_reflection(x):
+    return 1 - _spec_clamp(x)
+
+
+def _outcome(f, x):
+    """A float result by hex, any other by type and repr, an error by type and message."""
+    try:
+        y = f(x)
+    except Exception as exc:  # the specification fixes the type and the message
+        return type(exc), str(exc)
+    return (float, y.hex()) if type(y) is float else (type(y), repr(y))
+
+
+SPEC_POINTS = [0, 0.0, -0.0, 1, 1.0, 5e-324, 1 - 2 ** -53, -1e-10, 1 + 1e-10, -2e-9,
+               1.5, math.nan, Fraction(1, 3), Fraction(0), Fraction(1)]
+
+_NODES = [(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)]
+_INVERSE_NODES = [(y, x) for x, y in _NODES]
+_SPEC_MAPS = [
+    ("square", PowerMap(2), _spec_power(2), _spec_power(Fraction(1, 2))),
+    ("root", PowerMap(Fraction(1, 2)), _spec_power(Fraction(1, 2)), _spec_power(2)),
+    ("cube_root", PowerMap(Fraction(1, 3)), _spec_power(Fraction(1, 3)), _spec_power(3)),
+    ("identity", PowerMap(1), _spec_power(1), _spec_power(1)),
+    ("piecewise", PiecewiseLinear([(0, 0), (Fraction(1, 2), Fraction(1, 4)), (1, 1)]),
+     _spec_piecewise(_NODES), _spec_piecewise(_INVERSE_NODES)),
+    ("reflection", Reflection(), _spec_reflection, _spec_reflection),
+    # example1_tent_sqrt's even map, x -> 1 - sqrt(x)
+    ("example1_even", Composite([PowerMap(Fraction(1, 2)), Reflection()]),
+     lambda x: _spec_reflection(_spec_power(Fraction(1, 2))(x)),
+     lambda x: _spec_power(2)(_spec_reflection(x))),
+]
+
+
+class TestUnitIntervalSpecification:
+    @pytest.mark.parametrize("h, forward, inverse", [m[1:] for m in _SPEC_MAPS],
+                             ids=[m[0] for m in _SPEC_MAPS])
+    @pytest.mark.parametrize("x", SPEC_POINTS, ids=repr)
+    def test_map_meets_its_specification(self, h, forward, inverse, x):
+        assert _outcome(h.forward, x) == _outcome(forward, x)
+        assert _outcome(h.inverse, x) == _outcome(inverse, x)
+
+    def test_specification_outcomes(self):
+        """The cases the inputs are chosen for, spelled out once."""
+        sq = PowerMap(2)
+        assert _outcome(sq.forward, -0.0) == (float, "0x0.0p+0")
+        assert _outcome(sq.forward, 0) == (float, "0x0.0p+0")
+        assert _outcome(sq.inverse, Fraction(1)) == (float, "0x1.0000000000000p+0")
+        assert _outcome(sq.forward, -1e-10) == (float, "0x0.0p+0")
+        assert _outcome(sq.forward, 1 + 1e-10) == (float, "0x1.0000000000000p+0")
+        assert _outcome(sq.forward, 1.5) == (DomainError, "point 1.5 outside [0, 1]")
+        assert _outcome(sq.inverse, -2e-9) == (DomainError, "point -2e-09 outside [0, 1]")
+        assert _outcome(sq.forward, math.nan) == (DomainError, "point nan outside [0, 1]")
+        assert _outcome(Reflection().forward, Fraction(1, 3)) == (Fraction, "Fraction(2, 3)")
+
+    @pytest.mark.parametrize("h", [m[1] for m in _SPEC_MAPS], ids=[m[0] for m in _SPEC_MAPS])
+    @pytest.mark.parametrize("x", ["0.5", None, 1j], ids=repr)
+    def test_a_point_that_does_not_compare_fails_as_in_the_clamp(self, h, x):
+        assert _outcome(h.forward, x) == _outcome(h.inverse, x) == _outcome(_unit_clamp, x)
+
+    def test_exponent_floats_are_float_of_the_exponent(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            bits = rng.choice((1, 8, 64, 1100))
+            n = rng.getrandbits(bits) + 1
+            d = rng.getrandbits(rng.choice((bits, 1100))) + 1
+            e = Fraction(n, d)
+            if not 2.0 ** -1000 < e < 2.0 ** 1000:  # both floats stay finite
+                continue
+            h = PowerMap(e)
+            assert h._e.hex() == float(e).hex()
+            assert h._e_inv.hex() == float(1 / e).hex()
+            assert h == PowerMap(Fraction(n, d)) == PowerMap(str(e))
+            assert h.isometric == (e == 1)
+        assert PowerMap(2) != PowerMap(Fraction(1, 2))
+
+    @pytest.mark.parametrize("exponent", ["1e400", "1e-400", "5e-324", Fraction(10 ** 400),
+                                          Fraction(1, 3 ** 700)],
+                             ids=["1e400", "1e-400", "5e-324", "10**400", "3**-700"])
+    def test_exponent_whose_float_overflows(self, exponent):
+        with pytest.raises(ConstructionError, match="^exponent") as info:
+            PowerMap(exponent)
+        assert len(str(info.value)) < 80
