@@ -181,10 +181,12 @@ def _harmonic() -> CorpusEntry:
         while len(fracs) <= k:
             # a/b + 1/j in lowest terms with no full-width gcd (Knuth, TAOCP 4.5.1)
             j, (a, b) = len(fracs), fracs[-1]
-            g = math.gcd(b, j)
-            a, b = a * (j // g) + b // g, b * (j // g)
-            g = math.gcd(a, g)
-            a, b = a // g, b // g
+            if (g := math.gcd(b, j)) == 1:  # already coprime: no division
+                a, b = a * j + b, b * j
+            else:
+                a, b = a * (j // g) + b // g, b * (j // g)
+                if (g := math.gcd(a, g)) != 1:
+                    a, b = a // g, b // g
             fracs.append((a - b if a >= b else a, b))
         a, b = fracs[k]
         return (a, b) if n % 2 == 1 or not a else (b - a, b)

@@ -70,10 +70,10 @@ class RationalRotationFamily:
     ``rule(n)`` returns the step of f_n, n >= 1, as a coprime int pair (a, b)
     with 0 <= a < b; ``pairs`` reads them in index order, once each, checking
     each denominator against the budget.  Flow displacements (prefix sums mod
-    1) are kept as integers: ``_num[n]`` over ``_den[n]``, where ``_den[n]`` is
-    the running lcm of the step denominators, so a step costs one multiply-add
-    and at most one gcd, with no Fraction.  ``displacement`` reduces a prefix
-    to a Fraction once per index; negative times negate.
+    1) are integers ``_num[n]`` over ``_den[n]``, the running lcm L of the step
+    denominators: a step costs one multiply-add, at most one gcd and one L // d,
+    kept while d is the last step's object, with no Fraction.  ``displacement``
+    reduces a prefix to a Fraction once per index; negative times negate.
     """
 
     def __init__(self, rule: Callable[[int], tuple[int, int]], name: str):
@@ -86,10 +86,12 @@ class RationalRotationFamily:
 
     def pairs(self, n: int) -> list[tuple[int, int]]:
         """The step list, read through f_n; a BudgetError keeps those before it."""
-        for k in range(len(self._pairs) + 1, n + 1):
-            _check_denominator((p := self.rule(k))[1])
-            self._pairs.append(p)
-        return self._pairs
+        ps, rule = self._pairs, self.rule
+        for k in range(len(ps) + 1, n + 1):
+            if (p := rule(k))[1].bit_length() > DENOMINATOR_BIT_BUDGET:
+                _check_denominator(p[1])
+            ps.append(p)
+        return ps
 
     def step(self, n: int) -> Fraction:
         if n < 1:
@@ -97,16 +99,18 @@ class RationalRotationFamily:
         return Fraction(*self.pairs(n)[n - 1])
 
     def _extend(self, m: int) -> None:
-        """Prefix sums up to index m."""
+        """Prefix sums up to index m; q = L // d stands while d is the last step's."""
         nums, dens = self._num, self._den
-        N, L = nums[-1], dens[-1]
+        N, L, last = nums[-1], dens[-1], None
         for a, d in self.pairs(m)[len(nums) - 1:m]:
-            q, rem = divmod(L, d)
-            if rem:  # L grows to lcm(L, d); gcd(L, d) = gcd(rem, d)
-                f = d // math.gcd(rem, d)
-                N *= f
-                L *= f
-                q = L // d
+            if d is not last:
+                q, rem = divmod(L, d)
+                if rem:  # L grows to lcm(L, d); gcd(L, d) = gcd(rem, d)
+                    f = d // math.gcd(rem, d)
+                    N *= f
+                    L *= f
+                    q = L // d
+                last = d
             N += a * q
             if N >= L:
                 N -= L
@@ -127,14 +131,23 @@ class RationalRotationFamily:
         return 1 - d if n < 0 and d else d
 
     def block(self, r: int) -> "RationalRotationFamily":
-        """Exact view, and source of the float turns, of the r-step block family."""
+        """Exact view, and source of the float turns, of the r-step block family.
+
+        Block k's step is read from its endpoints' cached displacements: a zero
+        one gives the other's pair or its negation; only two nonzero ones subtract.
+        """
         if r < 1:
             raise ValueError("block size must be >= 1")
         if r == 1:
             return self
 
         def rule(k: int) -> tuple[int, int]:
-            v = self.displacement(k * r) - self.displacement((k - 1) * r)
+            s, e = self.displacement((k - 1) * r), self.displacement(k * r)
+            if not s:
+                return e.as_integer_ratio()
+            if not e:
+                return s.denominator - s.numerator, s.denominator
+            v = e - s
             return (v + 1 if v < 0 else v).as_integer_ratio()
 
         return RationalRotationFamily(rule, f"{self.name}|blocks[r={r}]")

@@ -1,5 +1,6 @@
 """Exact rational circle arithmetic: displacement sums, certificates, hull angles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,21 @@ class TestDisplacements:
         assert fam.displacement(3) == Fraction(1, 2)
         assert fam.displacement(5) == Fraction(5, 6)
         assert fam.displacement(7) == Fraction(1, 12)
+
+    def test_harmonic_pairs_are_harmonic_sums(self):
+        # odd step 2k - 1 is H_k mod 1 and even step 2k its negation, as coprime
+        # pairs; the sums through k = 600 take every branch of the addition
+        pairs = corpus("circle_harmonic").exact.pairs(1200)
+        h, branches = Fraction(0), set()
+        for k in range(1, 601):
+            g = math.gcd(h.denominator, k)
+            t = h.numerator * (k // g) + h.denominator // g
+            branches.add("coprime" if g == 1 else
+                         "shared" if math.gcd(t, g) == 1 else "reduced")
+            h = (h + Fraction(1, k)) % 1
+            assert pairs[2 * k - 2] == h.as_integer_ratio()
+            assert pairs[2 * k - 1] == (-h % 1).as_integer_ratio()
+        assert branches == {"coprime", "shared", "reduced"}
 
     def test_steps_and_displacements_are_reduced_fractions(self):
         fam = corpus("circle_settling").exact

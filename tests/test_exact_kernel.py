@@ -363,6 +363,24 @@ class TestPrefixSums:
             _same_displacement(fam, ref, n)
         assert calls == list(range(1, max(map(abs, times)) + 1))  # each index once
 
+    @pytest.mark.parametrize("shape", ["same object", "equal objects", "d, d', d"])
+    def test_repeated_denominators(self, shape):
+        # q = L // d is reused only for the last step's own denominator object;
+        # equal denominators that are distinct objects, or one that comes back
+        # after L has grown, take the division again
+        d, e = 3 ** 70, 5 ** 60
+        twin = int(str(d))
+        assert twin == d and twin is not d
+        steps = {
+            "same object": [(1, 7), (1, d), (2, d), (5, d), (d - 1, d)],
+            "equal objects": [(1, d), (2, twin), (4, d), (5, twin)],
+            "d, d', d": [(1, d), (2, d), (1, e), (4, d), (7, d), (3, e)],
+        }[shape]
+        rule = lambda n: steps[(n - 1) % len(steps)]  # noqa: E731
+        fam, ref = RationalRotationFamily(rule, shape), _ReferencePrefix(rule)
+        for n in (4 * len(steps), 1, 2, 3, 5):  # one extension through every step first
+            _same_displacement(fam, ref, n)
+
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(step_value, min_size=1, max_size=6),
            r=st.integers(min_value=1, max_value=6),
@@ -379,15 +397,37 @@ class TestPrefixSums:
         if not got[0]:  # a refutation at w reads at most 2w steps
             assert len(calls) <= 2 * got[1]
 
-    @settings(max_examples=60, deadline=None)
-    @given(values=st.lists(step_value, min_size=1, max_size=6), times=signed_times)
-    def test_block_displacements(self, values, times):
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(step_value, min_size=1, max_size=6), times=signed_times,
+           r=st.integers(min_value=1, max_value=6))
+    # displacements 0, 1/3, 0, 1/3 at times 0, 3, 6, 9: a zero start before a
+    # nonzero end (blocks 1 and 3), and a nonzero start before a zero end (block 2)
+    @example(values=[Fraction(1, 3), Fraction(-1, 3)], times=[3, -2], r=3)
+    # displacements 2/3 at time 4 and 1/3 at time 8: 1/3 - 2/3 wraps below 0
+    @example(values=[Fraction(2, 3)], times=[2, -3], r=4)
+    @example(values=[Fraction(1, 2), Fraction(1, 5)], times=[4, -7], r=1)
+    def test_block_displacements(self, values, times, r):
         fam = _cycle(values)
         ref = _ReferencePrefix(_rule(values))
-        for r in range(2, 6):
-            block, ref_block = fam.block(r), ref.block(r)
-            for n in times[:6]:
-                _same_displacement(block, ref_block, n)
+        block, ref_block = fam.block(r), ref.block(r)
+        for n in times[:6]:
+            _same_displacement(block, ref_block, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(step_value, min_size=1, max_size=6),
+           r=st.integers(min_value=1, max_value=6),
+           n=st.integers(min_value=1, max_value=12))
+    @example(values=[Fraction(1, 3), Fraction(-1, 3)], r=3, n=3)
+    @example(values=[Fraction(2, 3)], r=4, n=2)
+    def test_block_pairs_are_reduced_step_sums(self, values, r, n):
+        # the float turns of a block family are read from these pairs
+        fam = _cycle(values)
+        steps = [Fraction(*p) for p in fam.pairs(n * r)]
+        want = []
+        for k in range(n):
+            v = sum(steps[k * r:(k + 1) * r]) % 1
+            want.append((v.numerator, v.denominator))
+        assert fam.block(r).pairs(n) == want
 
     @pytest.mark.parametrize("values", [
         [Fraction(1, P), Fraction(-1, P), Fraction(1, Q), Fraction(-1, Q)],  # lcm over, prefixes not
